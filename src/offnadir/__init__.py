@@ -41,7 +41,6 @@ from .dataset import (
 )
 from .raster import (
     BitMask,
-    footprint_from_roof,
     mask_to_rle,
     rasterize_polygon,
     rle_to_mask,

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .geometry import ImagePose, Polygon2D, Vec2, translate_polygon
+from .geometry import ImagePose, Polygon2D, Vec2
 
 ROOF_OFFSET_TOL_PX = 1e-6
 
@@ -69,9 +69,11 @@ class BuildingInstance:
             if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
                 raise DatasetError(f"score must be in [0, 1], got {self.score!r}")
         if self.footprint is not None and self.roof is not None and self.offset is not None:
-            expected = translate_polygon(self.footprint, -self.offset)
+            # footprint - offset without building a throwaway polygon; x - dx
+            # is translate_polygon's x + (-dx) bit for bit
+            dx, dy = self.offset.dx, self.offset.dy
             got = self.roof.vertices
-            want = expected.vertices
+            want = [(x - dx, y - dy) for x, y in self.footprint.vertices]
             if len(got) != len(want):
                 raise DatasetError(
                     f"roof has {len(got)} vertices but footprint - offset has {len(want)}"
@@ -97,6 +99,11 @@ def grade_instance(inst: BuildingInstance) -> SupervisionLevel:
     return SupervisionLevel.OH
 
 
+def _is_dimension(v) -> bool:
+    # bool is an int subclass, but {"width": true} is not a 1-px image
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SampleRecord:
     """One image worth of annotations."""
@@ -110,7 +117,7 @@ class SampleRecord:
     pose_extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.width, int) or not isinstance(self.height, int):
+        if not (_is_dimension(self.width) and _is_dimension(self.height)):
             raise DatasetError(f"image {self.image_id!r}: dimensions must be integers")
         if self.width <= 0 or self.height <= 0:
             raise DatasetError(
@@ -272,7 +279,7 @@ def _record_from_json(obj, index: int) -> SampleRecord:
         _instance_from_json(o, f"image {image_id!r}, instance {k}")
         for k, o in enumerate(obj.pop("instances", []))
     ]
-    if not isinstance(width, int) or not isinstance(height, int):
+    if not (_is_dimension(width) and _is_dimension(height)):
         raise DatasetError(f"image {image_id!r}: width/height must be integers")
     return SampleRecord(
         image_id=image_id,

@@ -133,11 +133,6 @@ def translate_mask(m: BitMask, v: Vec2) -> BitMask:
     return BitMask(m.width, m.height, out)
 
 
-def footprint_from_roof(roof: BitMask, v: Vec2) -> BitMask:
-    """Footprint mask from a roof mask and the roof-to-footprint offset."""
-    return translate_mask(roof, v)
-
-
 def mask_to_rle(m: BitMask) -> list[int]:
     """Row-major run lengths, starting with the leading run of zeros."""
     flat = m.data.reshape(-1)

@@ -31,7 +31,6 @@ from .geometry import (
     ImagePose,
     Polygon2D,
     Vec2,
-    bbox_intersection,
     bbox_of,
     height_from_offset,
     normalize_angle,
@@ -158,8 +157,12 @@ def _sample_l_shape(rng, x0, y0, w, h):
 
 def _separated(a, b) -> bool:
     # require a >= 1 px gap between footprint bboxes
-    grown = replace(a, x_min=a.x_min - 1, y_min=a.y_min - 1, x_max=a.x_max + 1, y_max=a.y_max + 1)
-    return bbox_intersection(grown, b) is None
+    return (
+        a.x_min - 1 > b.x_max
+        or b.x_min > a.x_max + 1
+        or a.y_min - 1 > b.y_max
+        or b.y_min > a.y_max + 1
+    )
 
 
 def _build_record(cfg: SynthConfig, index: int) -> SampleRecord:

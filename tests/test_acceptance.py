@@ -40,7 +40,7 @@ from offnadir.losses import (
 )
 from offnadir.metrics import evaluate
 from offnadir.pseudobox import pseudo_bbox_level_h, pseudo_bbox_level_n, pseudo_offset
-from offnadir.raster import BitMask, footprint_from_roof, rasterize_polygon
+from offnadir.raster import BitMask, rasterize_polygon, translate_mask
 from offnadir.reconstruct import extrude_prism, simplify_chain, simplify_dp
 from offnadir.synth import SynthConfig, generate_scenes
 
@@ -221,7 +221,7 @@ def test_criterion_04_mask_translation_bit_exact(int_scenes):
             for inst in r.instances:
                 roof_mask = rasterize_polygon(inst.roof, r.width, r.height)
                 want = rasterize_polygon(inst.footprint, r.width, r.height)
-                got = footprint_from_roof(roof_mask, inst.offset)
+                got = translate_mask(roof_mask, inst.offset)
                 total += 1
                 exact += got == want
         assert total > 0

@@ -195,6 +195,17 @@ def test_load_invariant_violations_name_the_record(tmp_path):
             load_dataset(path)
 
 
+def test_load_rejects_boolean_dimensions(tmp_path):
+    for dims in ({"width": True, "height": 16}, {"width": 16, "height": False}):
+        doc = {"images": [{"id": "flag", **dims, "instances": []}]}
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match=r"'flag'.*integers"):
+            load_dataset(path)
+        with pytest.raises(DatasetError, match=r"'flag'.*integers"):
+            SampleRecord(image_id="flag", **dims)
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

@@ -1,8 +1,11 @@
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from offnadir import geometry
 from offnadir.geometry import (
     BBox,
     ImagePose,
@@ -217,6 +220,80 @@ def test_polygon_area_l_shape():
     # 4x4 square minus 2x2 notch
     p = Polygon2D(((0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)))
     assert polygon_area(p) == 12.0
+
+
+def _star(rng, n, grid):
+    """n-vertex star with alternating radii, vertices snapped to 1/grid px."""
+    pts = []
+    for k in range(n):
+        a = 2.0 * math.pi * (k + rng.uniform(-0.2, 0.2)) / n
+        r = rng.uniform(40.0, 50.0) if k % 2 == 0 else rng.uniform(20.0, 30.0)
+        pts.append((round((60.0 + r * math.cos(a)) * grid) / grid,
+                    round((60.0 + r * math.sin(a)) * grid) / grid))
+    return pts
+
+
+def _grid_ring(rng, n, size):
+    """n distinct integer points, angle-sorted around the grid center half
+    the time (mostly simple, with collinear runs) and shuffled otherwise."""
+    pts = rng.sample([(x, y) for x in range(size) for y in range(size)], n)
+    if rng.random() < 0.5:
+        c = (size - 1) / 2.0
+        pts.sort(key=lambda p: math.atan2(p[1] - c, p[0] - c))
+    return pts
+
+
+def _mutate(rng, pts, size):
+    """Copy of pts with a fold-back, a moved vertex, or nothing changed."""
+    pts = list(pts)
+    roll = rng.random()
+    k = rng.randrange(len(pts))
+    if roll < 0.3:
+        # the midpoint of edge k, visited just after the edge (a fold back
+        # from its end) or just before it (a fold onto its start)
+        b = (k + 1) % len(pts)
+        (ax, ay), (bx, by) = pts[k], pts[b]
+        pts = [(2 * x, 2 * y) for x, y in pts]
+        pts.insert(b + 1 if roll < 0.15 else k or len(pts), (ax + bx, ay + by))
+    elif roll < 0.6:
+        pts[k] = (rng.randrange(size), rng.randrange(size))
+    return pts
+
+
+def _construct(verts, broadcast_min, monkeypatch):
+    monkeypatch.setattr(geometry, "_BROADCAST_MIN_VERTICES", broadcast_min)
+    try:
+        return Polygon2D(tuple(verts)).vertices
+    except ValueError as e:
+        return str(e)
+
+
+def test_simplicity_broadcast_matches_loop(monkeypatch):
+    rng = random.Random(20240404)
+    threshold = geometry._BROADCAST_MIN_VERTICES
+    cases = [_star(rng, 64, 64.0) for _ in range(3)]
+    crossed = list(cases[0])
+    crossed[10], crossed[40] = crossed[40], crossed[10]
+    cases.append(crossed)
+    for _ in range(1500):
+        size = rng.randint(3, 9)
+        n = rng.randint(3, min(size * size, 2 * threshold + 8))
+        cases.append(_mutate(rng, _grid_ring(rng, n, size), size))
+    for _ in range(100):
+        n = rng.randint(3, 2 * threshold)
+        pts = _star(rng, n, rng.choice((1.0, 64.0, 2.0**40)))
+        cases.append(_mutate(rng, pts, 120))
+    outcomes = Counter()
+    for verts in cases:
+        loop = _construct(verts, len(verts) + 1, monkeypatch)
+        broadcast = _construct(verts, 3, monkeypatch)
+        assert broadcast == loop, verts
+        if len(verts) >= threshold:
+            outcomes["simple" if isinstance(loop, tuple) else loop] += 1
+    # every outcome of the simplicity check occurs above the threshold
+    assert outcomes["simple"] >= 20
+    assert outcomes["polygon is not simple (edge fold-back)"] >= 20
+    assert outcomes["polygon is not simple (self-intersection)"] >= 20
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from offnadir.geometry import Polygon2D, Vec2
 from offnadir.raster import (
     BitMask,
-    footprint_from_roof,
     mask_to_rle,
     rasterize_polygon,
     rle_to_mask,
@@ -161,8 +160,8 @@ def test_translate_mask_composition():
 def test_footprint_from_roof_is_translation():
     m = BitMask(10, 10)
     m.data[2:5, 2:5] = True
-    assert footprint_from_roof(m, Vec2(0.0, 0.0)) == m
-    moved = footprint_from_roof(m, Vec2(3.0, 1.0))
+    assert translate_mask(m, Vec2(0.0, 0.0)) == m
+    moved = translate_mask(m, Vec2(3.0, 1.0))
     assert moved.pixels() == {(i + 3, j + 1) for (i, j) in m.pixels()}
 
 
