@@ -199,9 +199,9 @@ def _cmd_eval(args) -> int:
         f"over {agg.height_pairs} pair(s)"
     )
     print(
-        f"off-nadir MAE={agg.offnadir_mae_deg:.4f} deg, "
+        f"off-nadir MAE={agg.offnadir_mae_deg:.4f} deg over {agg.angle_images} image(s), "
         f"offset-angle MAE={agg.offsetangle_mae_deg:.4f} deg "
-        f"over {agg.angle_images} image(s)"
+        f"over {agg.offsetangle_images} off-nadir image(s)"
     )
     if args.report:
         _write_json(

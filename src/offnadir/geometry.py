@@ -277,14 +277,20 @@ def _check_simple_broadcast(verts) -> None:
         raise ValueError("polygon is not simple (self-intersection)")
 
 
+# Coordinate differences stay within 2**501, so every orientation product
+# stays below 2**1003 and the simplicity checks cannot overflow to inf/NaN
+# (where every comparison is false and a crossing would pass).
+_MAX_COORD = 2.0**500
+
+
 @dataclass(frozen=True)
 class Polygon2D:
     """Simple polygon over pixel coordinates, implicitly closed.
 
-    Requires >= 3 vertices, finite coordinates, nonzero area, and no
-    self-intersection. Vertex order is canonicalized to positive shoelace
-    winding on construction (reversed if needed; the starting vertex is
-    kept).
+    Requires >= 3 vertices, finite coordinates within +-2**500, nonzero
+    area, and no self-intersection. Vertex order is canonicalized to
+    positive shoelace winding on construction (reversed if needed; the
+    starting vertex is kept).
     """
 
     vertices: tuple
@@ -294,8 +300,11 @@ class Polygon2D:
         if len(verts) < 3:
             raise ValueError(f"polygon needs >= 3 vertices, got {len(verts)}")
         for x, y in verts:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError("polygon vertices must be finite")
+            # false for inf and NaN too
+            if not (abs(x) <= _MAX_COORD and abs(y) <= _MAX_COORD):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError("polygon vertices must be finite")
+                raise ValueError("polygon vertex coordinates must lie within +-2**500")
         if len(set(verts)) != len(verts):
             raise ValueError("polygon has repeated vertices")
         area2 = _signed_area(verts)

@@ -86,7 +86,7 @@ def mask_cross_entropy(pred_prob, gt: BitMask) -> float:
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    y = gt.data.astype(float)
+    y = gt.dense().astype(float)
     vals = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
     return float(vals.mean())
 

@@ -12,8 +12,10 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dataset import Dataset, SampleRecord
-from .geometry import Polygon2D, bbox_intersection, bbox_of
+from .geometry import Polygon2D
 from .raster import BitMask, rasterize_polygon
 
 
@@ -23,7 +25,7 @@ def mask_iou(a: BitMask, b: BitMask) -> float:
         raise ValueError(
             f"grid mismatch: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    inter = int((a.data & b.data).sum())
+    inter = a.overlap(b)
     union = a.popcount() + b.popcount() - inter
     return inter / union if union > 0 else 0.0
 
@@ -58,13 +60,11 @@ class MatchResult:
 def _footprint_masks(instances, grid):
     w, h = grid
     masks = []
-    boxes = []
     for inst in instances:
         if inst.footprint is None:
             raise ValueError("matching needs a footprint on every instance")
         masks.append(rasterize_polygon(inst.footprint, w, h))
-        boxes.append(bbox_of(inst.footprint))
-    return masks, boxes
+    return masks
 
 
 def match_instances(preds, gts, iou_threshold: float = 0.5, grid=(512, 512)) -> MatchResult:
@@ -76,8 +76,18 @@ def match_instances(preds, gts, iou_threshold: float = 0.5, grid=(512, 512)) -> 
     """
     preds = list(preds)
     gts = list(gts)
-    pred_masks, pred_boxes = _footprint_masks(preds, grid)
-    gt_masks, gt_boxes = _footprint_masks(gts, grid)
+    pred_masks = _footprint_masks(preds, grid)
+    gt_masks = _footprint_masks(gts, grid)
+    # only masks whose windows overlap can have a nonzero IoU; empty
+    # windows sit at (0, 0, 0, 0) and so overlap nothing
+    pw = np.array([m.window for m in pred_masks], dtype=np.int64).reshape(-1, 1, 4)
+    gw = np.array([m.window for m in gt_masks], dtype=np.int64).reshape(1, -1, 4)
+    overlaps = (
+        (pw[..., 0] < gw[..., 2])
+        & (gw[..., 0] < pw[..., 2])
+        & (pw[..., 1] < gw[..., 3])
+        & (gw[..., 1] < pw[..., 3])
+    )
     order = sorted(
         range(len(preds)),
         key=lambda i: -(preds[i].score if preds[i].score is not None else 1.0),
@@ -88,10 +98,8 @@ def match_instances(preds, gts, iou_threshold: float = 0.5, grid=(512, 512)) -> 
     for i in order:
         best_iou = 0.0
         best_j = -1
-        for j in range(len(gts)):
+        for j in np.flatnonzero(overlaps[i]).tolist():
             if taken[j]:
-                continue
-            if bbox_intersection(pred_boxes[i], gt_boxes[j]) is None:
                 continue
             iou = mask_iou(pred_masks[i], gt_masks[j])
             if iou > best_iou:
@@ -108,24 +116,33 @@ def match_instances(preds, gts, iou_threshold: float = 0.5, grid=(512, 512)) -> 
     )
 
 
-def detection_prf(m: MatchResult):
-    """(precision, recall, f1) with the 0/0 -> 0 convention."""
-    tp, fp, fn = m.tp, m.fp, m.fn
+def _prf(tp: int, fp: int, fn: int):
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
 
 
+def detection_prf(m: MatchResult):
+    """(precision, recall, f1) with the 0/0 -> 0 convention."""
+    return _prf(m.tp, m.fp, m.fn)
+
+
 def _paired_values(m: MatchResult, preds, gts, getter):
-    out = []
     for i, j, _ in m.pairs:
         pv = getter(preds[i])
         gv = getter(gts[j])
-        if pv is None or gv is None:
-            continue
-        out.append((pv, gv))
-    return out
+        if pv is not None and gv is not None:
+            yield pv, gv
+
+
+def _epe(pairs):
+    total = 0.0
+    n = 0
+    for p, g in pairs:
+        total += math.hypot(p.dx - g.dx, p.dy - g.dy)
+        n += 1
+    return (total / n if n else 0.0), n
 
 
 def offset_epe(m: MatchResult, preds, gts):
@@ -133,44 +150,64 @@ def offset_epe(m: MatchResult, preds, gts):
 
     Returns (epe, n_pairs); n_pairs == 0 flags an empty mean (epe 0).
     """
-    pairs = _paired_values(m, preds, gts, lambda inst: inst.offset)
-    if not pairs:
-        return 0.0, 0
-    total = sum(math.hypot(p.dx - g.dx, p.dy - g.dy) for p, g in pairs)
-    return total / len(pairs), len(pairs)
+    return _epe(_paired_values(m, preds, gts, lambda inst: inst.offset))
+
+
+def _height(pairs):
+    abs_sum = 0.0
+    sq_sum = 0.0
+    n = 0
+    for p, g in pairs:
+        d = p - g
+        abs_sum += abs(d)
+        sq_sum += d * d
+        n += 1
+    if not n:
+        return 0.0, 0.0, 0
+    return abs_sum / n, math.sqrt(sq_sum / n), n
 
 
 def height_errors(m: MatchResult, preds, gts):
     """(mae, rmse, n_pairs) of height over matched pairs with both heights."""
-    pairs = _paired_values(m, preds, gts, lambda inst: inst.height)
-    if not pairs:
-        return 0.0, 0.0, 0
-    diffs = [p - g for p, g in pairs]
-    mae = sum(abs(d) for d in diffs) / len(diffs)
-    rmse = math.sqrt(sum(d * d for d in diffs) / len(diffs))
-    return mae, rmse, len(pairs)
+    return _height(_paired_values(m, preds, gts, lambda inst: inst.height))
+
+
+def _angles(pose_pairs):
+    """(off-nadir MAE, offset-angle MAE, images, images in the offset-angle
+    MAE) in degrees."""
+    ona = 0.0
+    ova = 0.0
+    n = 0
+    n_ova = 0
+    for p, g in pose_pairs:
+        ona += abs(math.atan(p.tan_theta) - math.atan(g.tan_theta))
+        n += 1
+        if g.tan_theta == 0:
+            continue  # phi is undefined at nadir
+        d = abs(p.phi - g.phi) % (2.0 * math.pi)
+        ova += min(d, 2.0 * math.pi - d)
+        n_ova += 1
+    return (
+        math.degrees(ona / n) if n else 0.0,
+        math.degrees(ova / n_ova) if n_ova else 0.0,
+        n,
+        n_ova,
+    )
 
 
 def angle_errors(pred_poses, gt_poses):
     """Image-pose MAEs in degrees: (off-nadir, offset angle).
 
     The off-nadir error compares arctangents; the offset-angle error is the
-    circular difference. Empty input yields (0, 0).
+    circular difference, over the images whose ground truth is off nadir
+    (tan_theta > 0), since phi is undefined at nadir. Empty means are 0.
     """
     pred_poses = list(pred_poses)
     gt_poses = list(gt_poses)
     if len(pred_poses) != len(gt_poses):
         raise ValueError(f"length mismatch: {len(pred_poses)} vs {len(gt_poses)}")
-    if not pred_poses:
-        return 0.0, 0.0
-    ona = 0.0
-    ova = 0.0
-    for p, g in zip(pred_poses, gt_poses):
-        ona += abs(math.atan(p.tan_theta) - math.atan(g.tan_theta))
-        d = abs(p.phi - g.phi) % (2.0 * math.pi)
-        ova += min(d, 2.0 * math.pi - d)
-    n = len(pred_poses)
-    return math.degrees(ona / n), math.degrees(ova / n)
+    ona, ova, _, _ = _angles(zip(pred_poses, gt_poses))
+    return ona, ova
 
 
 @dataclass(frozen=True)
@@ -191,6 +228,7 @@ class EvalReport:
     offnadir_mae_deg: float
     offsetangle_mae_deg: float
     angle_images: int
+    offsetangle_images: int
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
@@ -212,18 +250,20 @@ def _match_record(pred: SampleRecord, gt: SampleRecord, iou_threshold: float):
     return match_instances(pred.instances, gt.instances, iou_threshold, grid)
 
 
-def _report_from(m, pred_insts, gt_insts, pose_pairs) -> EvalReport:
-    precision, recall, f1 = detection_prf(m)
-    epe, epe_pairs = offset_epe(m, pred_insts, gt_insts)
-    mae, rmse, h_pairs = height_errors(m, pred_insts, gt_insts)
-    ona, ova = angle_errors([p for p, _ in pose_pairs], [g for _, g in pose_pairs])
+def _report(tp: int, fp: int, fn: int, offsets, heights, poses) -> EvalReport:
+    """Report from detection counts and iterables of the (pred, gt) pairs
+    of offsets, heights and image poses."""
+    precision, recall, f1 = _prf(tp, fp, fn)
+    epe, epe_pairs = _epe(offsets)
+    mae, rmse, h_pairs = _height(heights)
+    ona, ova, angle_images, ova_images = _angles(poses)
     return EvalReport(
         precision=precision,
         recall=recall,
         f1=f1,
-        tp=m.tp,
-        fp=m.fp,
-        fn=m.fn,
+        tp=tp,
+        fp=fp,
+        fn=fn,
         epe=epe,
         epe_pairs=epe_pairs,
         height_mae=mae,
@@ -231,7 +271,8 @@ def _report_from(m, pred_insts, gt_insts, pose_pairs) -> EvalReport:
         height_pairs=h_pairs,
         offnadir_mae_deg=ona,
         offsetangle_mae_deg=ova,
-        angle_images=len(pose_pairs),
+        angle_images=angle_images,
+        offsetangle_images=ova_images,
     )
 
 
@@ -266,48 +307,29 @@ def evaluate(
     else:
         matches = {image_id: run_one(image_id) for image_id in ids}
 
-    per_image = {}
-    tp = fp = fn = 0
-    epe_sum, epe_n = 0.0, 0
-    h_abs_sum, h_sq_sum, h_n = 0.0, 0.0, 0
-    pose_pairs = []
-    for image_id in ids:
-        m = matches[image_id]
-        p_rec, g_rec = preds[image_id], gts[image_id]
-        img_poses = []
-        if p_rec.pose is not None and g_rec.pose is not None:
-            img_poses.append((p_rec.pose, g_rec.pose))
-            pose_pairs.append((p_rec.pose, g_rec.pose))
-        per_image[image_id] = _report_from(m, p_rec.instances, g_rec.instances, img_poses)
-        tp += m.tp
-        fp += m.fp
-        fn += m.fn
-        for p, g in _paired_values(m, p_rec.instances, g_rec.instances, lambda x: x.offset):
-            epe_sum += math.hypot(p.dx - g.dx, p.dy - g.dy)
-            epe_n += 1
-        for p, g in _paired_values(m, p_rec.instances, g_rec.instances, lambda x: x.height):
-            h_abs_sum += abs(p - g)
-            h_sq_sum += (p - g) ** 2
-            h_n += 1
+    def report(image_ids):
+        # one report over these images' matches, pairs and poses, in order
+        ms = [matches[image_id] for image_id in image_ids]
 
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    ona, ova = angle_errors([p for p, _ in pose_pairs], [g for _, g in pose_pairs])
-    aggregate = EvalReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        epe=epe_sum / epe_n if epe_n else 0.0,
-        epe_pairs=epe_n,
-        height_mae=h_abs_sum / h_n if h_n else 0.0,
-        height_rmse=math.sqrt(h_sq_sum / h_n) if h_n else 0.0,
-        height_pairs=h_n,
-        offnadir_mae_deg=ona,
-        offsetangle_mae_deg=ova,
-        angle_images=len(pose_pairs),
-    )
-    return EvalResult(aggregate=aggregate, per_image=per_image)
+        def pairs(getter):
+            for image_id, m in zip(image_ids, ms):
+                yield from _paired_values(
+                    m, preds[image_id].instances, gts[image_id].instances, getter
+                )
+
+        poses = (
+            (preds[image_id].pose, gts[image_id].pose)
+            for image_id in image_ids
+            if preds[image_id].pose is not None and gts[image_id].pose is not None
+        )
+        return _report(
+            sum(m.tp for m in ms),
+            sum(m.fp for m in ms),
+            sum(m.fn for m in ms),
+            pairs(lambda inst: inst.offset),
+            pairs(lambda inst: inst.height),
+            poses,
+        )
+
+    per_image = {image_id: report([image_id]) for image_id in ids}
+    return EvalResult(aggregate=report(ids), per_image=per_image)

@@ -16,7 +16,6 @@ from .geometry import (
     bbox_of,
     bbox_union,
     offset_from_pose,
-    translate_polygon,
 )
 
 DEFAULT_EXPAND_RATIO = 0.1
@@ -37,8 +36,12 @@ def pseudo_bbox_level_h(
 
     Raises ValueError when the clipped result is empty.
     """
-    roof_est = translate_polygon(footprint, -v)
-    box = bbox_union(bbox_of(footprint), bbox_of(roof_est))
+    b = bbox_of(footprint)
+    # the back-translated footprint's bbox is b shifted by -v: rounding is
+    # monotonic, so the shifted min/max equal the min/max of shifted vertices
+    dx, dy = -v.dx, -v.dy
+    roof_est = BBox(b.x_min + dx, b.y_min + dy, b.x_max + dx, b.y_max + dy)
+    box = bbox_union(b, roof_est)
     clipped = bbox_intersection(box, BBox(0.0, 0.0, float(image_w), float(image_h)))
     if clipped is None:
         raise ValueError("pseudo bbox is empty after clipping to the image")

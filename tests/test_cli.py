@@ -84,6 +84,17 @@ def test_eval_self_report(tmp_path, scene_path, capsys):
     assert set(data["per_image"]) == {r.image_id for r in load_dataset(scene_path).records}
 
 
+def test_eval_summary_counts_offnadir_images(tmp_path, scene_path, capsys):
+    report = tmp_path / "report.json"
+    run(["eval", "--pred", str(scene_path), "--gt", str(scene_path), "--report", str(report)])
+    out = capsys.readouterr().out
+    agg = json.loads(report.read_text())["aggregate"]
+    n = len(load_dataset(scene_path).records)
+    # the synthetic scene has no nadir image
+    assert agg["angle_images"] == agg["offsetangle_images"] == n
+    assert f"over {n} image(s), offset-angle MAE=0.0000 deg over {n} off-nadir image(s)" in out
+
+
 def test_eval_deterministic_report(tmp_path, scene_path):
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"

@@ -206,6 +206,19 @@ def test_load_rejects_boolean_dimensions(tmp_path):
             SampleRecord(image_id="flag", **dims)
 
 
+def test_load_rejects_huge_coordinates_despite_huge_dimensions(tmp_path):
+    # a 1e300-px image admits vertices near 1e300, but a crossed hexagon at
+    # 1e155 would overflow the simplicity check and pass it
+    hexagon = ((0, 0), (4, 0), (4, 3), (1, -1), (0, 3), (-1, 1))
+    flat = [c * 1e155 for xy in hexagon for c in xy]
+    doc = {"images": [{"id": "huge", "width": 10**300, "height": 10**300,
+                       "instances": [{"footprint": flat}]}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match=r"'huge', instance 0.*2\*\*500"):
+        load_dataset(path)
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

@@ -296,6 +296,38 @@ def test_simplicity_broadcast_matches_loop(monkeypatch):
     assert outcomes["polygon is not simple (self-intersection)"] >= 20
 
 
+_CROSSED_HEXAGON = ((0, 0), (4, 0), (4, 3), (1, -1), (0, 3), (-1, 1))
+
+
+def _subdivided_hexagon():
+    # 18 vertices (broadcast path): two extra points on every edge, exact
+    # in binary, so the ring crosses itself exactly like the hexagon
+    out = []
+    for k, (x1, y1) in enumerate(_CROSSED_HEXAGON):
+        x2, y2 = _CROSSED_HEXAGON[(k + 1) % 6]
+        out += [(x1 + (x2 - x1) * t, y1 + (y2 - y1) * t) for t in (0.0, 0.125, 0.5)]
+    return out
+
+
+@pytest.mark.parametrize("ring", [_CROSSED_HEXAGON, _subdivided_hexagon()])
+def test_huge_coordinates_rejected_on_both_check_paths(ring, monkeypatch):
+    assert (len(ring) >= geometry._BROADCAST_MIN_VERTICES) == (len(ring) == 18)
+    # at these scales the orientation products overflow to inf/NaN, where
+    # every comparison of the simplicity check is false
+    for scale in (1e155, 1e160, 1e200, 1e300, 2.0**499):
+        with pytest.raises(ValueError, match=r"within \+-2\*\*500"):
+            Polygon2D(tuple((x * scale, y * scale) for x, y in ring))
+    # up to the bound the crossing is still found, on either path
+    scaled = [(x * 2.0**497, y * 2.0**497) for x, y in ring]  # |coords| <= 2**499
+    for threshold in (3, len(ring) + 1):
+        assert _construct(scaled, threshold, monkeypatch) == (
+            "polygon is not simple (self-intersection)"
+        )
+    big_square = ((-(2.0**500), -(2.0**500)), (2.0**500, -(2.0**500)),
+                  (2.0**500, 2.0**500), (-(2.0**500), 2.0**500))
+    assert polygon_area(Polygon2D(big_square)) == 2.0**1002
+
+
 # ---------------------------------------------------------------------------
 # boxes
 

@@ -188,6 +188,35 @@ def test_angle_errors():
         angle_errors([a], [])
 
 
+def test_angle_errors_skip_nadir_ground_truth_in_offset_angle():
+    # phi is undefined at nadir: only the off-nadir error counts there
+    assert angle_errors([ImagePose(0, 3, 1)], [ImagePose(0, 0, 1)]) == (0.0, 0.0)
+    preds = [ImagePose(1.0, 3.0, 1.0), ImagePose(1.0, 1.0, 1.0)]
+    gts = [ImagePose(0.0, 0.0, 1.0), ImagePose(1.0, 0.5, 1.0)]
+    ona, ova = angle_errors(preds, gts)
+    assert ona == pytest.approx(45.0 / 2, abs=1e-9)
+    assert ova == pytest.approx(math.degrees(0.5), abs=1e-9)  # one image's mean
+
+
+def test_evaluate_counts_offset_angle_images():
+    poses = {"nadir": ImagePose(0.0, 0.0, 1.0), "oblique": ImagePose(0.5, 1.0, 1.0)}
+    gt_records, pred_records = [], []
+    for image_id, pose in sorted(poses.items()):
+        record = SampleRecord(image_id=image_id, width=32, height=32, pose=pose,
+                              instances=(inst(square(2, 2, 8)),))
+        gt_records.append(record)
+        pred_records.append(replace(record, pose=ImagePose(0.5, 2.0, 1.0)))
+    res = evaluate(Dataset(records=tuple(pred_records)), Dataset(records=tuple(gt_records)))
+    agg = res.aggregate
+    assert (agg.angle_images, agg.offsetangle_images) == (2, 1)
+    assert agg.offsetangle_mae_deg == pytest.approx(math.degrees(1.0), abs=1e-9)
+    nadir = res.per_image["nadir"]
+    assert (nadir.angle_images, nadir.offsetangle_images) == (1, 0)
+    assert nadir.offsetangle_mae_deg == 0.0
+    assert nadir.offnadir_mae_deg == pytest.approx(math.degrees(math.atan(0.5)), abs=1e-9)
+    assert list(agg.to_json())[-2:] == ["angle_images", "offsetangle_images"]
+
+
 def test_evaluate_self_is_perfect(int_scene_dataset):
     res = evaluate(int_scene_dataset, int_scene_dataset)
     agg = res.aggregate

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from offnadir.geometry import BBox, Polygon2D, Vec2, bbox_of, bbox_union
+from offnadir.geometry import (
+    BBox,
+    Polygon2D,
+    Vec2,
+    bbox_intersection,
+    bbox_of,
+    bbox_union,
+    translate_polygon,
+)
 from offnadir.pseudobox import pseudo_bbox_level_h, pseudo_bbox_level_n, pseudo_offset
 
 SQUARE = Polygon2D(((10, 10), (20, 10), (20, 20), (10, 20)))
@@ -40,6 +48,28 @@ def test_level_h_exact_on_synth(int_scene_dataset, float_scene_dataset):
                 want = bbox_union(bbox_of(inst.roof), bbox_of(inst.footprint))
                 got = pseudo_bbox_level_h(inst.footprint, inst.offset, r.width, r.height)
                 assert got == want
+
+
+def test_level_h_equals_bbox_of_back_translated_polygon():
+    # shifting the footprint bbox gives the translated polygon's bbox bit
+    # for bit, since float rounding is monotonic
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        cx, cy = rng.uniform(-50, 300, 2)
+        pts = [(cx + r * math.cos(a), cy + r * math.sin(a))
+               for a, r in zip(np.sort(rng.uniform(0, 2 * math.pi, 5)), rng.uniform(5, 40, 5))]
+        try:
+            fp = Polygon2D(tuple(pts))
+        except ValueError:
+            continue
+        v = Vec2(*rng.uniform(-60, 60, 2))
+        box = bbox_union(bbox_of(fp), bbox_of(translate_polygon(fp, -v)))
+        want = bbox_intersection(box, BBox(0.0, 0.0, 256.0, 256.0))
+        if want is None:
+            with pytest.raises(ValueError):
+                pseudo_bbox_level_h(fp, v, 256, 256)
+        else:
+            assert pseudo_bbox_level_h(fp, v, 256, 256) == want
 
 
 def test_level_h_contains_clipped_footprint_bbox():
