@@ -58,7 +58,7 @@ def _cmd_synth(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    dataset = generate_scenes(cfg, jobs=args.jobs)
+    dataset = generate_scenes(cfg)
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} images to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -187,7 +187,7 @@ def _cmd_footprint(args) -> int:
 def _cmd_eval(args) -> int:
     pred = load_dataset(args.pred)
     gt = load_dataset(args.gt)
-    result = evaluate(pred, gt, iou_threshold=args.iou, jobs=args.jobs)
+    result = evaluate(pred, gt, iou_threshold=args.iou)
     agg = result.aggregate
     print(
         f"F1={agg.f1:.4f} precision={agg.precision:.4f} recall={agg.recall:.4f} "
@@ -281,7 +281,6 @@ def _cmd_reconstruct(args) -> int:
         epsilon=args.epsilon,
         default_height=args.default_height,
         default_scale_s=args.scale,
-        jobs=args.jobs,
     )
     for sk in result.skipped:
         print(
@@ -298,7 +297,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _add_jobs(sp) -> None:
-    sp.add_argument("--jobs", type=int, default=1, help="per-image parallelism bound")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; the work runs serially")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -125,9 +125,14 @@ class SampleRecord:
                 f"got {self.width}x{self.height}"
             )
         object.__setattr__(self, "instances", tuple(self.instances))
-        # generous slack for clipped geometry
-        x_lo, x_hi = -float(self.width), 2.0 * self.width
-        y_lo, y_hi = -float(self.height), 2.0 * self.height
+        # generous slack for clipped geometry; a size too large for an exact
+        # float stays an int, which Python compares with floats exactly and
+        # without overflow, while float bounds compare faster
+        w, h = self.width, self.height
+        if w < 2**53 and h < 2**53:
+            w, h = float(w), float(h)
+        x_lo, x_hi = -w, 2 * w
+        y_lo, y_hi = -h, 2 * h
         for k, inst in enumerate(self.instances):
             for poly in (inst.footprint, inst.roof):
                 if poly is None:
@@ -179,6 +184,15 @@ class Dataset:
 # JSON serialization
 
 
+def _parse(where: str, parse, value):
+    """parse(value), reporting a value of the wrong type, one too large for a
+    float, or one that parse rejects as a DatasetError prefixed with where."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise DatasetError(f"{where}: {e}") from e
+
+
 def _flat_to_polygon(values, where: str) -> Polygon2D:
     if not isinstance(values, (list, tuple)):
         raise DatasetError(f"{where}: polygon must be a flat coordinate list")
@@ -186,11 +200,7 @@ def _flat_to_polygon(values, where: str) -> Polygon2D:
         raise DatasetError(
             f"{where}: polygon needs an even number of >= 6 coordinates, got {len(values)}"
         )
-    pts = [(float(values[i]), float(values[i + 1])) for i in range(0, len(values), 2)]
-    try:
-        return Polygon2D(tuple(pts))
-    except ValueError as e:
-        raise DatasetError(f"{where}: {e}") from e
+    return _parse(where, Polygon2D, tuple(zip(values[0::2], values[1::2])))
 
 
 def _polygon_to_flat(p: Polygon2D) -> list:
@@ -213,21 +223,21 @@ def _instance_from_json(obj, where: str) -> BuildingInstance:
     if offset is not None:
         if not (isinstance(offset, (list, tuple)) and len(offset) == 2):
             raise DatasetError(f"{where}: offset must be a [dx, dy] pair")
-        offset = Vec2(float(offset[0]), float(offset[1]))
+        offset = _parse(where, lambda xy: Vec2(*map(float, xy)), offset)
+    footprint = None if footprint is None else _flat_to_polygon(footprint, where)
+    roof = None if roof is None else _flat_to_polygon(roof, where + " (roof)")
+    height = None if height is None else _parse(where, float, height)
+    score = None if score is None else _parse(where, float, score)
     try:
         return BuildingInstance(
-            footprint=None if footprint is None else _flat_to_polygon(footprint, where),
-            roof=None if roof is None else _flat_to_polygon(roof, where + " (roof)"),
+            footprint=footprint,
+            roof=roof,
             offset=offset,
-            height=None if height is None else float(height),
-            score=None if score is None else float(score),
+            height=height,
+            score=score,
             extra=obj,
         )
     except DatasetError as e:
-        if str(e).startswith(where):
-            raise
-        raise DatasetError(f"{where}: {e}") from e
-    except (TypeError, ValueError) as e:
         raise DatasetError(f"{where}: {e}") from e
 
 
@@ -257,30 +267,31 @@ def _record_from_json(obj, index: int) -> SampleRecord:
         height = obj.pop("height")
     except KeyError as e:
         raise DatasetError(f"images[{index}]: missing required key {e}") from e
+    where = f"image {image_id!r}"
     pose_obj = obj.pop("pose", None)
     pose = None
     pose_extra = {}
     if pose_obj is not None:
         if not isinstance(pose_obj, dict):
-            raise DatasetError(f"image {image_id!r}: pose must be an object")
+            raise DatasetError(f"{where}: pose must be an object")
         pose_obj = dict(pose_obj)
         try:
-            pose = ImagePose(
-                tan_theta=float(pose_obj.pop("tan_theta")),
-                phi=float(pose_obj.pop("phi")),
-                scale_s=float(pose_obj.pop("scale_s")),
-            )
+            pose = ImagePose(*(
+                _parse(f"{where}, pose {key}", float, pose_obj.pop(key))
+                for key in ("tan_theta", "phi", "scale_s")
+            ))
         except KeyError as e:
-            raise DatasetError(f"image {image_id!r}: pose missing key {e}") from e
+            raise DatasetError(f"{where}: pose missing key {e}") from e
         except ValueError as e:
-            raise DatasetError(f"image {image_id!r}: {e}") from e
+            raise DatasetError(f"{where}: {e}") from e
         pose_extra = pose_obj
+    instances = obj.pop("instances", [])
+    if not isinstance(instances, list):
+        raise DatasetError(f"{where}: instances must be an array")
     instances = [
-        _instance_from_json(o, f"image {image_id!r}, instance {k}")
-        for k, o in enumerate(obj.pop("instances", []))
+        _instance_from_json(o, f"{where}, instance {k}")
+        for k, o in enumerate(instances)
     ]
-    if not (_is_dimension(width) and _is_dimension(height)):
-        raise DatasetError(f"image {image_id!r}: width/height must be integers")
     return SampleRecord(
         image_id=image_id,
         width=width,
@@ -334,7 +345,8 @@ def load_dataset(path) -> Dataset:
             obj = json.load(f)
     except OSError as e:
         raise DatasetError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, UnicodeDecodeError, integers beyond the digit limit
         raise DatasetError(f"{path} is not valid JSON: {e}") from e
     return dataset_from_json(obj)
 

@@ -149,12 +149,16 @@ def estimate_pose(instances, scale_s: float) -> PoseFit:
 
 
 def _signed_area(verts) -> float:
+    # shoelace about the first vertex: over absolute coordinates, the large
+    # products of a small polygon far from the origin cancel to zero
+    x0, y0 = verts[0]
+    px, py = verts[1][0] - x0, verts[1][1] - y0
     s = 0.0
-    n = len(verts)
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        s += x1 * y2 - x2 * y1
+    for x, y in verts[2:]:
+        x -= x0
+        y -= y0
+        s += px * y - x * py
+        px, py = x, y
     return 0.5 * s
 
 

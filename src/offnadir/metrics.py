@@ -9,7 +9,6 @@ global TP/FP/FN counts and error means pooled over all matched pairs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,7 +279,6 @@ def evaluate(
     pred_dataset: Dataset,
     gt_dataset: Dataset,
     iou_threshold: float = 0.5,
-    jobs: int = 1,
 ) -> EvalResult:
     """Evaluate predictions against ground truth, image id by image id.
 
@@ -297,15 +295,10 @@ def evaluate(
             f"unexpected in predictions {surplus[:5]}"
         )
     ids = sorted(gts)
-
-    def run_one(image_id):
-        return _match_record(preds[image_id], gts[image_id], iou_threshold)
-
-    if jobs > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            matches = dict(zip(ids, pool.map(run_one, ids)))
-    else:
-        matches = {image_id: run_one(image_id) for image_id in ids}
+    matches = {
+        image_id: _match_record(preds[image_id], gts[image_id], iou_threshold)
+        for image_id in ids
+    }
 
     def report(image_ids):
         # one report over these images' matches, pairs and poses, in order

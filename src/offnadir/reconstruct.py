@@ -9,7 +9,6 @@ and extruded into flat-roofed prisms.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .dataset import Dataset
@@ -309,7 +308,6 @@ def reconstruct_dataset(
     epsilon: float = DEFAULT_EPSILON_PX,
     default_height: float | None = None,
     default_scale_s: float | None = None,
-    jobs: int = 1,
 ) -> ReconstructionResult:
     """Build one prism per usable instance.
 
@@ -319,11 +317,9 @@ def reconstruct_dataset(
     default_scale_s. Instances that cannot be reconstructed are skipped and
     reported, not fatal.
     """
-    records = sorted(d.records, key=lambda r: r.image_id)
-
-    def run_record(record):
-        meshes = []
-        skipped = []
+    meshes = []
+    skipped = []
+    for record in sorted(d.records, key=lambda r: r.image_id):
         scale = record.pose.scale_s if record.pose is not None else default_scale_s
         for k, inst in enumerate(record.instances):
             name = f"{record.image_id}_{k:03d}"
@@ -353,16 +349,4 @@ def reconstruct_dataset(
                 meshes.append((name, extrude_prism(simplified, height, scale)))
             except ValueError as e:
                 skip(str(e))
-        return meshes, skipped
-
-    if jobs > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(run_record, records))
-    else:
-        outputs = [run_record(r) for r in records]
-    meshes = []
-    skipped = []
-    for ms, sk in outputs:
-        meshes.extend(ms)
-        skipped.extend(sk)
     return ReconstructionResult(meshes=tuple(meshes), skipped=tuple(skipped))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -233,19 +232,13 @@ def _build_record(cfg: SynthConfig, index: int) -> SampleRecord:
     )
 
 
-def generate_scenes(cfg: SynthConfig, jobs: int = 1) -> Dataset:
+def generate_scenes(cfg: SynthConfig) -> Dataset:
     """Generate a fully annotated dataset; every record grades OH.
 
     Deterministic in cfg (seed included): each image draws from its own
-    RNG stream keyed by (seed, image index), so the output is independent
-    of scheduling and of ``jobs``.
+    RNG stream keyed by (seed, image index).
     """
-    indices = range(cfg.n_images)
-    if jobs > 1 and cfg.n_images > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(lambda i: _build_record(cfg, i), indices))
-    else:
-        records = [_build_record(cfg, i) for i in indices]
+    records = [_build_record(cfg, i) for i in range(cfg.n_images)]
     cfg_json = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
     meta = {"generator": "offnadir.synth", "config": cfg_json}
     return Dataset(records=tuple(records), metadata=meta)

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from offnadir.cli import run
 from offnadir.dataset import (
     BuildingInstance,
     Dataset,
@@ -221,11 +224,114 @@ def test_load_rejects_huge_coordinates_despite_huge_dimensions(tmp_path):
 
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "garbage.json"
-    path.write_text("{not json")
-    with pytest.raises(DatasetError):
-        load_dataset(path)
+    # bad syntax, bad UTF-8, an int beyond the digit limit, too deep to parse
+    for text in (b"{not json", b"\xff{}", b"1" * 5000, b"[" * 100_000):
+        path.write_bytes(text)
+        with pytest.raises(DatasetError):
+            load_dataset(path)
     with pytest.raises(DatasetError):
         load_dataset(tmp_path / "missing.json")
+
+
+def _valid_document():
+    return {"images": [{
+        "id": "img", "width": 32, "height": 32,
+        "pose": {"tan_theta": 0.5, "phi": 0.0, "scale_s": 1.0},
+        "instances": [{"footprint": [10, 10, 20, 10, 20, 20, 10, 20],
+                       "roof": [5, 10, 15, 10, 15, 20, 5, 20],
+                       "offset": [5, 0], "height": 10.0, "score": 0.5}],
+    }]}
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _set(doc, path, value):
+    _parent(doc, path)[path[-1]] = value
+
+
+IMAGE = ("images", 0)
+INSTANCE = IMAGE + ("instances", 0)
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (IMAGE + ("instances",), 5, r"'img': instances must be an array"),
+    (IMAGE + ("pose", "tan_theta"), [1], r"'img', pose tan_theta: float\(\) argument"),
+    (IMAGE + ("pose", "phi"), 10**400, r"'img', pose phi: int too large"),
+    (INSTANCE + ("offset",), ["a", 1], r"'img', instance 0: could not convert"),
+    (INSTANCE + ("offset",), [math.nan, 0], r"'img', instance 0: Vec2 .* finite"),
+    (INSTANCE + ("footprint", 0), 10**400, r"'img', instance 0: int too large"),
+    (INSTANCE + ("roof", 1), [1], r"'img', instance 0 \(roof\): float\(\) argument"),
+    (INSTANCE + ("height",), 10**400, r"'img', instance 0: int too large"),
+    (INSTANCE + ("score",), {}, r"'img', instance 0: float\(\) argument"),
+], ids=["instances-not-array", "pose-list", "pose-huge-int", "offset-string", "offset-nan",
+        "footprint-huge-int", "roof-list", "height-huge-int", "score-object"])
+def test_load_turns_malformed_values_into_dataset_errors(tmp_path, capsys, path, value, where):
+    doc = _valid_document()
+    dataset_from_json(doc)  # loads before the mutation
+    _set(doc, path, value)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match=where):
+        load_dataset(file)
+    assert run(["grade", "--in", str(file)]) == 2
+    assert capsys.readouterr().err.startswith("error: image 'img'")
+
+
+def test_frame_check_takes_dimensions_too_large_for_a_float():
+    doc = _valid_document()
+    _set(doc, IMAGE + ("width",), 10**400)
+    _set(doc, IMAGE + ("height",), 10**400)
+    assert dataset_from_json(doc).records[0].width == 10**400
+    _set(doc, IMAGE + ("height",), 8)  # the footprint reaches y = 20 > 2 * 8
+    with pytest.raises(DatasetError, match=r"'img', instance 0: vertex \(20.0, 20.0\) "
+                       r"outside the allowed frame \[-10{400}, 20{400}\] x "):
+        dataset_from_json(doc)
+    _set(doc, IMAGE + ("width",), 32)
+    with pytest.raises(DatasetError, match=r"frame \[-32\.0, 64\.0\] x \[-8\.0, 16\.0\]$"):
+        dataset_from_json(doc)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), 2**63, 2**1024]),
+    st.floats(),  # NaN and infinities included
+    st.lists(st.integers(-40, 40) | st.floats(), max_size=40),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fuzzed_document_loads_or_raises_dataset_error(data):
+    doc = _valid_document()
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(doc))[1:]
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        if data.draw(st.booleans()):
+            del _parent(doc, path)[path[-1]]
+        else:
+            _set(doc, path, data.draw(JUNK))
+    try:
+        dataset_from_json(doc)
+    except DatasetError:
+        pass  # any other exception fails the test
 
 
 def test_offset_without_height_loads_and_grades_n(tmp_path):

@@ -222,6 +222,13 @@ def test_polygon_area_l_shape():
     assert polygon_area(p) == 12.0
 
 
+def test_polygon_area_far_from_origin():
+    # absolute shoelace products near 2**62 would cancel this 2x2 triangle away
+    t = 2**31
+    p = Polygon2D(((t, t), (t + 2, t), (t + 2, t + 2)))
+    assert polygon_area(p) == 2.0
+
+
 def _star(rng, n, grid):
     """n-vertex star with alternating radii, vertices snapped to 1/grid px."""
     pts = []

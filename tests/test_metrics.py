@@ -273,13 +273,6 @@ def test_evaluate_rejects_mismatched_ids(int_scene_dataset):
         evaluate(missing, int_scene_dataset)
 
 
-def test_evaluate_jobs_equivalent(int_scene_dataset):
-    a = evaluate(int_scene_dataset, int_scene_dataset, jobs=1)
-    b = evaluate(int_scene_dataset, int_scene_dataset, jobs=4)
-    assert a.aggregate == b.aggregate
-    assert a.per_image == b.per_image
-
-
 def test_evaluate_partial_annotations_counted():
     g = SampleRecord(
         image_id="a",

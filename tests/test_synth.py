@@ -33,11 +33,6 @@ def test_determinism_byte_identical():
     assert json.dumps(dataset_to_json(a)) == json.dumps(dataset_to_json(b))
 
 
-def test_jobs_do_not_change_output():
-    cfg = SynthConfig(**SMALL)
-    assert generate_scenes(cfg, jobs=1) == generate_scenes(cfg, jobs=4)
-
-
 def test_different_seeds_differ():
     a = generate_scenes(SynthConfig(**{**SMALL, "seed": 1}))
     b = generate_scenes(SynthConfig(**{**SMALL, "seed": 2}))
