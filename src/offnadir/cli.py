@@ -17,6 +17,7 @@ from .dataset import (
     Dataset,
     DatasetError,
     SupervisionLevel,
+    _parse,
     grade_sample,
     load_dataset,
     save_dataset,
@@ -222,11 +223,13 @@ def _load_weights(path) -> LossWeights:
         return LossWeights()
     with open(path, encoding="utf-8") as f:
         obj = json.load(f)
+    if not isinstance(obj, dict):
+        raise DatasetError(f"weights file {path}: must be a JSON object")
     known = set(LossWeights.__dataclass_fields__)
     unknown = set(obj) - known
     if unknown:
         raise DatasetError(f"unknown loss weight keys: {sorted(unknown)}")
-    return LossWeights(**obj)
+    return _parse(f"weights file {path}", lambda kw: LossWeights(**kw), obj)
 
 
 def _cmd_loss(args) -> int:
@@ -238,21 +241,25 @@ def _cmd_loss(args) -> int:
     graded = []
     rows = []
     for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DatasetError(f"sample {k}: must be a JSON object")
         entry = dict(entry)
         try:
             level = SupervisionLevel[entry.pop("level")]
-        except KeyError as e:
+        except (KeyError, TypeError) as e:
             raise DatasetError(f"sample {k}: bad or missing level {e}") from e
         ext_keys = {"l_rp", "l_rc", "l_mh", "l_o"}
-        ext = {key: float(entry.pop(key)) for key in list(entry) if key in ext_keys}
+        ext = {key: _parse(f"sample {k}, {key}", float, entry.pop(key))
+               for key in list(entry) if key in ext_keys}
         comp_keys = {"l_f", "l_h", "l_ona", "l_ova"}
-        comps = {key: float(entry.pop(key)) for key in list(entry) if key in comp_keys}
+        comps = {key: _parse(f"sample {k}, {key}", float, entry.pop(key))
+                 for key in list(entry) if key in comp_keys}
         if entry:
             raise DatasetError(f"sample {k}: unknown component keys {sorted(entry)}")
-        components = LevelComponents(
-            external=ExternalLossInputs(**ext) if ext else None, **comps
-        )
         try:
+            components = LevelComponents(
+                external=ExternalLossInputs(**ext) if ext else None, **comps
+            )
             value = level_loss(level, components, weights)
         except ValueError as e:
             raise DatasetError(f"sample {k}: {e}") from e

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .geometry import ImagePose, Polygon2D, Vec2
+from .geometry import ImagePose, Polygon2D, Vec2, _canonical_ring, _first_non_simple
 
 ROOF_OFFSET_TOL_PX = 1e-6
 
@@ -99,7 +99,7 @@ def grade_instance(inst: BuildingInstance) -> SupervisionLevel:
     return SupervisionLevel.OH
 
 
-def _is_dimension(v) -> bool:
+def _is_integer(v) -> bool:
     # bool is an int subclass, but {"width": true} is not a 1-px image
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -117,7 +117,7 @@ class SampleRecord:
     pose_extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (_is_dimension(self.width) and _is_dimension(self.height)):
+        if not (_is_integer(self.width) and _is_integer(self.height)):
             raise DatasetError(f"image {self.image_id!r}: dimensions must be integers")
         if self.width <= 0 or self.height <= 0:
             raise DatasetError(
@@ -193,14 +193,18 @@ def _parse(where: str, parse, value):
         raise DatasetError(f"{where}: {e}") from e
 
 
-def _flat_to_polygon(values, where: str) -> Polygon2D:
+def _flat_to_polygon(values, where: str, unchecked: list) -> Polygon2D:
+    """Polygon over canonical vertices; its simplicity check is deferred by
+    appending (vertices, where) to unchecked (see dataset_from_json)."""
     if not isinstance(values, (list, tuple)):
         raise DatasetError(f"{where}: polygon must be a flat coordinate list")
     if len(values) % 2 != 0 or len(values) < 6:
         raise DatasetError(
             f"{where}: polygon needs an even number of >= 6 coordinates, got {len(values)}"
         )
-    return _parse(where, Polygon2D, tuple(zip(values[0::2], values[1::2])))
+    verts = _parse(where, _canonical_ring, zip(values[0::2], values[1::2]))
+    unchecked.append((verts, where))
+    return Polygon2D._trusted(verts)
 
 
 def _polygon_to_flat(p: Polygon2D) -> list:
@@ -211,7 +215,7 @@ def _polygon_to_flat(p: Polygon2D) -> list:
     return flat
 
 
-def _instance_from_json(obj, where: str) -> BuildingInstance:
+def _instance_from_json(obj, where: str, unchecked: list) -> BuildingInstance:
     if not isinstance(obj, dict):
         raise DatasetError(f"{where}: instance must be an object")
     obj = dict(obj)
@@ -224,8 +228,8 @@ def _instance_from_json(obj, where: str) -> BuildingInstance:
         if not (isinstance(offset, (list, tuple)) and len(offset) == 2):
             raise DatasetError(f"{where}: offset must be a [dx, dy] pair")
         offset = _parse(where, lambda xy: Vec2(*map(float, xy)), offset)
-    footprint = None if footprint is None else _flat_to_polygon(footprint, where)
-    roof = None if roof is None else _flat_to_polygon(roof, where + " (roof)")
+    footprint = None if footprint is None else _flat_to_polygon(footprint, where, unchecked)
+    roof = None if roof is None else _flat_to_polygon(roof, where + " (roof)", unchecked)
     height = None if height is None else _parse(where, float, height)
     score = None if score is None else _parse(where, float, score)
     try:
@@ -257,7 +261,7 @@ def _instance_to_json(inst: BuildingInstance) -> dict:
     return out
 
 
-def _record_from_json(obj, index: int) -> SampleRecord:
+def _record_from_json(obj, index: int, unchecked: list) -> SampleRecord:
     if not isinstance(obj, dict):
         raise DatasetError(f"images[{index}] must be an object")
     obj = dict(obj)
@@ -289,7 +293,7 @@ def _record_from_json(obj, index: int) -> SampleRecord:
     if not isinstance(instances, list):
         raise DatasetError(f"{where}: instances must be an array")
     instances = [
-        _instance_from_json(o, f"{where}, instance {k}")
+        _instance_from_json(o, f"{where}, instance {k}", unchecked)
         for k, o in enumerate(instances)
     ]
     return SampleRecord(
@@ -334,8 +338,27 @@ def dataset_from_json(obj) -> Dataset:
     metadata = obj.pop("metadata", {})
     if not isinstance(metadata, dict):
         raise DatasetError('"metadata" must be an object')
-    records = [_record_from_json(o, k) for k, o in enumerate(images)]
-    return Dataset(records=tuple(records), metadata=metadata, extra=obj)
+    # Rings are canonicalized in document order and checked for simplicity
+    # together at the end. A non-simple ring would have stopped loading
+    # before anything after it was parsed, so when a later error occurs the
+    # rings collected before it are checked first and the earliest one wins.
+    unchecked = []
+    try:
+        records = [_record_from_json(o, k, unchecked) for k, o in enumerate(images)]
+        dataset = Dataset(records=tuple(records), metadata=metadata, extra=obj)
+    except DatasetError:
+        _check_rings(unchecked)
+        raise
+    _check_rings(unchecked)
+    return dataset
+
+
+def _check_rings(unchecked: list) -> None:
+    """Raise the DatasetError of the first non-simple (vertices, where) ring."""
+    found = _first_non_simple([verts for verts, _ in unchecked])
+    if found is not None:
+        index, message = found
+        raise DatasetError(f"{unchecked[index][1]}: {message}") from None
 
 
 def load_dataset(path) -> Dataset:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -223,68 +224,141 @@ def _check_simple(verts) -> None:
                 raise ValueError("polygon is not simple (self-intersection)")
 
 
-# From this many vertices on, the n x n broadcast beats the edge-pair loop
-# on simple polygons; below it numpy's per-call overhead dominates
-# (measured crossover between 12 and 16 vertices on a 2-vCPU x86-64 VM,
-# numpy 2.4, CPython 3.11).
+# From this many vertices on, a single polygon is checked by the broadcast
+# kernel rather than the edge-pair loop; below it numpy's per-call overhead
+# dominates (measured crossover between 12 and 16 vertices on a 2-vCPU
+# x86-64 VM, numpy 2.4, CPython 3.11).
 _BROADCAST_MIN_VERTICES = 16
 
+# Edge pairs per kernel call when many rings are checked together: each
+# (m, n, n) float temporary then takes at most 64 KB, and with numpy's
+# ufunc buffers the kernel's peak stays near 0.4 MB (tracemalloc, 6-vertex
+# rings). Larger batches were no faster.
+_BATCH_PAIRS = 8192
 
-def _check_simple_broadcast(verts) -> None:
-    """_check_simple over all edge pairs at once; same floats, same verdict.
 
-    Edge k runs from P[k] = verts[k] to Q[k] = verts[(k + 1) % n]. Entry
-    [i, j] of ``d1`` is _orient(P[j], Q[j], P[i]) and of ``d2`` is
-    _orient(P[j], Q[j], Q[i]), with _orient's operand order, so every value
-    equals the loop's bit for bit. _segments_intersect's d3 and d4 for pair
-    (i, j) are then d1[j, i] and d2[j, i], and each _on_segment cross
-    product it or the fold-back tests evaluate is one of d1..d4.
+def _check_simple_broadcast(p: np.ndarray) -> np.ndarray:
+    """_check_simple over all edge pairs of m rings of n vertices at once.
+
+    ``p`` has shape (m, n, 2). Returns, per ring, the row-major index
+    i * n + j of its first violating edge pair (i, j), or -1 if the ring
+    is simple. Edge k runs from P[k] to Q[k] = P[(k + 1) % n]. Entry
+    [r, i, j] of ``d1`` is _orient(P[j], Q[j], P[i]) and of ``d2`` is
+    _orient(P[j], Q[j], Q[i]) for ring r, with _orient's operand order, so
+    every value equals the loop's bit for bit. _segments_intersect's d3
+    and d4 for pair (i, j) are then d1[r, j, i] and d2[r, j, i], and each
+    _on_segment cross product it or the fold-back tests evaluate is one
+    of d1..d4.
     """
-    n = len(verts)
-    p = np.asarray(verts, dtype=float)
-    q = np.concatenate((p[1:], p[:1]))
-    x, y = p.T
-    qx, qy = q.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        ex, ey = qx - x, qy - y
-        d1 = ex * np.subtract.outer(y, y)
-        d1 -= ey * np.subtract.outer(x, x)
-        d2 = ex * np.subtract.outer(qy, y)
-        d2 -= ey * np.subtract.outer(qx, x)
+    m, n, _ = p.shape
+    q = np.concatenate((p[:, 1:], p[:, :1]), axis=1)
+    x, y = p[..., 0], p[..., 1]
+    qx, qy = q[..., 0], q[..., 1]
+    # axis 1 indexes i (the tested edge), axis 2 indexes j (the reference)
+    xj, yj = x[:, None, :], y[:, None, :]
+    ex, ey = (qx - x)[:, None, :], (qy - y)[:, None, :]
+    d1 = ex * (y[:, :, None] - yj)
+    d1 -= ey * (x[:, :, None] - xj)
+    d2 = ex * (qy[:, :, None] - yj)
+    d2 -= ey * (qx[:, :, None] - xj)
     lo, hi = np.minimum(p, q), np.maximum(p, q)
+    lox, hix = lo[:, None, :, 0], hi[:, None, :, 0]
+    loy, hiy = lo[:, None, :, 1], hi[:, None, :, 1]
 
-    def on_edge_j(pts):
-        # [i, j]: pts[i] lies in the bbox of edge j
-        inside = (lo <= pts[:, None]) & (pts[:, None] <= hi)
-        return inside[..., 0] & inside[..., 1]
+    def on_edge_j(px, py, d):
+        # [r, i, j]: (px[r, i], py[r, i]) is collinear with edge j (d == 0)
+        # and lies in its bbox
+        px, py = px[:, :, None], py[:, :, None]
+        return (d == 0.0) & (lox <= px) & (px <= hix) & (loy <= py) & (py <= hiy)
 
-    # t1 / t2: P[i] / Q[i] lies on edge j (collinear and inside its bbox)
-    t1 = (d1 == 0.0) & on_edge_j(p)
-    t2 = (d2 == 0.0) & on_edge_j(q)
+    # t1 / t2: P[i] / Q[i] lies on edge j
+    t1 = on_edge_j(x, y, d1)
+    t2 = on_edge_j(qx, qy, d2)
     # edge i's endpoints lie strictly on both sides of edge j's line
     straddle = ((d1 > 0.0) & (d2 < 0.0)) | ((d1 < 0.0) & (d2 > 0.0))
     del d1, d2
     touch = t1 | t2
-    bad = (straddle & straddle.T) | touch | touch.T
-    del straddle, touch
-    # adjacent pairs (i, i + 1) and the closing pair (0, n - 1) share a
-    # vertex and are only tested for fold-back
-    k = np.arange(n)
-    bad &= k[:, None] < k
-    bad[k[:-1], k[1:]] = t1[k[:-1], k[1:]] | t2[k[1:], k[:-1]]
-    bad[0, n - 1] = t1[n - 1, 0] | t2[0, n - 1]
-    first = int(bad.argmax())
-    if bad.flat[first]:
-        i, j = divmod(first, n)
-        if j == i + 1 or (i == 0 and j == n - 1):
-            raise ValueError("polygon is not simple (edge fold-back)")
-        raise ValueError("polygon is not simple (self-intersection)")
+    bad = straddle & straddle.transpose(0, 2, 1)
+    del straddle
+    bad |= touch
+    bad |= touch.transpose(0, 2, 1)
+    del touch
+    # only pairs i < j count; adjacent pairs (i, i + 1), flat index
+    # i * (n + 1) + 1, and the closing pair (0, n - 1) share a vertex and
+    # are only tested for fold-back
+    bad = np.triu(bad, 1).reshape(m, n * n)
+    bad[:, 1::n + 1] = np.diagonal(t1, 1, 1, 2) | np.diagonal(t2, -1, 1, 2)
+    bad[:, n - 1] = t1[:, n - 1, 0] | t2[:, 0, n - 1]
+    first = bad.argmax(axis=1)
+    first[~bad[np.arange(m), first]] = -1
+    return first
+
+
+def _simplicity_message(n: int, first: int) -> str:
+    """_check_simple's message for the violating pair at row-major index first."""
+    i, j = divmod(first, n)
+    if j == i + 1 or (i == 0 and j == n - 1):
+        return "polygon is not simple (edge fold-back)"
+    return "polygon is not simple (self-intersection)"
+
+
+def _first_non_simple(rings):
+    """Index and message of the first non-simple ring, or None.
+
+    ``rings`` is a sequence of canonical vertex tuples (_canonical_ring's
+    results). Rings of equal vertex count go through the kernel together,
+    at most _BATCH_PAIRS edge pairs (and at least one ring) per call; each
+    verdict and message is the one Polygon2D would give the ring alone.
+    """
+    groups = {}
+    for index, verts in enumerate(rings):
+        groups.setdefault(len(verts), []).append(index)
+    found = []
+    for n, indices in groups.items():
+        step = max(1, _BATCH_PAIRS // (n * n))
+        for s in range(0, len(indices), step):
+            chunk = indices[s:s + step]
+            flat = chain.from_iterable(chain.from_iterable(rings[i] for i in chunk))
+            p = np.fromiter(flat, float, len(chunk) * n * 2).reshape(len(chunk), n, 2)
+            first = _check_simple_broadcast(p)
+            hits = np.flatnonzero(first >= 0)
+            if hits.size:
+                r = int(hits[0])
+                found.append((chunk[r], _simplicity_message(n, int(first[r]))))
+                break  # later chunks of this group come later in rings
+    return min(found, default=None)
 
 
 # Coordinate differences stay within 2**501, so every orientation product
 # stays below 2**1003 and the simplicity checks cannot overflow to inf/NaN
 # (where every comparison is false and a crossing would pass).
 _MAX_COORD = 2.0**500
+
+
+def _canonical_ring(vertices) -> tuple:
+    """Float vertex pairs of a ring, reversed if needed to positive winding.
+
+    Raises ValueError for fewer than 3 vertices, a coordinate that is not
+    finite or lies beyond +-2**500, a repeated vertex, or zero area.
+    Simplicity is not checked here.
+    """
+    verts = tuple((float(x), float(y)) for x, y in vertices)
+    if len(verts) < 3:
+        raise ValueError(f"polygon needs >= 3 vertices, got {len(verts)}")
+    for x, y in verts:
+        # false for inf and NaN too
+        if not (abs(x) <= _MAX_COORD and abs(y) <= _MAX_COORD):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError("polygon vertices must be finite")
+            raise ValueError("polygon vertex coordinates must lie within +-2**500")
+    if len(set(verts)) != len(verts):
+        raise ValueError("polygon has repeated vertices")
+    area2 = _signed_area(verts)
+    if area2 == 0.0:
+        raise ValueError("polygon has zero area")
+    if area2 < 0.0:
+        verts = verts[::-1]
+    return verts
 
 
 @dataclass(frozen=True)
@@ -300,27 +374,22 @@ class Polygon2D:
     vertices: tuple
 
     def __post_init__(self):
-        verts = tuple((float(x), float(y)) for x, y in self.vertices)
-        if len(verts) < 3:
-            raise ValueError(f"polygon needs >= 3 vertices, got {len(verts)}")
-        for x, y in verts:
-            # false for inf and NaN too
-            if not (abs(x) <= _MAX_COORD and abs(y) <= _MAX_COORD):
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError("polygon vertices must be finite")
-                raise ValueError("polygon vertex coordinates must lie within +-2**500")
-        if len(set(verts)) != len(verts):
-            raise ValueError("polygon has repeated vertices")
-        area2 = _signed_area(verts)
-        if area2 == 0.0:
-            raise ValueError("polygon has zero area")
-        if area2 < 0.0:
-            verts = verts[::-1]
-        if len(verts) >= _BROADCAST_MIN_VERTICES:
-            _check_simple_broadcast(verts)
+        verts = _canonical_ring(self.vertices)
+        n = len(verts)
+        if n >= _BROADCAST_MIN_VERTICES:
+            first = int(_check_simple_broadcast(np.array([verts], dtype=float))[0])
+            if first >= 0:
+                raise ValueError(_simplicity_message(n, first))
         else:
             _check_simple(verts)
         object.__setattr__(self, "vertices", verts)
+
+    @classmethod
+    def _trusted(cls, verts: tuple) -> "Polygon2D":
+        """Polygon over canonical vertices whose simplicity is checked elsewhere."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vertices", verts)
+        return p
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from .dataset import (
     DatasetError,
     SampleRecord,
     SupervisionLevel,
+    _is_integer,
     grade_sample,
     strip_annotations,
 )
@@ -87,14 +89,43 @@ class SynthConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
+def _is_number(v) -> bool:
+    # finite and within float range; a bool is not a number here either
+    return (_is_integer(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+def _pair_of(is_item):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(is_item, v))
+
+
+# JSON type of each config field: its test and what the error says it must be
+_FIELD_TYPES = {
+    "image_w": (_is_integer, "an integer"),
+    "image_h": (_is_integer, "an integer"),
+    "n_images": (_is_integer, "an integer"),
+    "buildings_per_image": (_pair_of(_is_integer), "a [min, max] pair of integers"),
+    "height_range": (_pair_of(_is_number), "a [min, max] pair of finite numbers"),
+    "tan_theta_range": (_pair_of(_is_number), "a [min, max] pair of finite numbers"),
+    "phi_range": (_pair_of(_is_number), "a [min, max] pair of finite numbers"),
+    "scale_s": (_is_number, "a finite number"),
+    "shape_family": (lambda v: isinstance(v, str), "a string"),
+    "integer_offsets": (lambda v: isinstance(v, bool), "a boolean"),
+    "seed": (_is_integer, "an integer"),
+}
+
+
 def config_from_json(obj) -> SynthConfig:
-    """Build a SynthConfig from a parsed JSON object; unknown keys error."""
+    """Build a SynthConfig from a parsed JSON object; unknown keys and
+    values of the wrong type raise ValueError naming the key."""
     if not isinstance(obj, dict):
         raise ValueError("synth config must be a JSON object")
     known = set(SynthConfig.__dataclass_fields__)
     unknown = set(obj) - known
     if unknown:
         raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
+    for key, (is_valid, kind) in _FIELD_TYPES.items():
+        if key in obj and not is_valid(obj[key]):
+            raise ValueError(f"synth config {key!r} must be {kind}")
     return SynthConfig(**obj)
 
 

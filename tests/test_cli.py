@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -195,6 +196,40 @@ def test_loss_cli(tmp_path, capsys):
     data = json.loads(report.read_text())
     assert data["total"] == pytest.approx(4.4, abs=1e-12)
     assert data["samples"][1]["loss"] == pytest.approx(3.9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "components, weights, message",
+    [
+        ([{"level": "N", "l_f": [1]}], None, "error: sample 0, l_f: "),
+        ([5], None, "error: sample 0: must be a JSON object"),
+        ([{"level": "N", "l_f": 0.5}], 5, "error: weights file .*w.json: must be a JSON object"),
+    ],
+    ids=["component-not-a-number", "sample-not-an-object", "weights-not-an-object"],
+)
+def test_loss_cli_rejects_wrongly_typed_input(tmp_path, capsys, components, weights, message):
+    comp = tmp_path / "components.json"
+    comp.write_text(json.dumps(components))
+    argv = ["loss", "--components", str(comp)]
+    if weights is not None:
+        (tmp_path / "w.json").write_text(json.dumps(weights))
+        argv += ["--weights", str(tmp_path / "w.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", [1]), ("seed", True), ("n_images", 2.0), ("scale_s", "1"),
+     ("height_range", [3.0]), ("buildings_per_image", [False, 4])],
+)
+def test_synth_rejects_wrongly_typed_config(tmp_path, capsys, field, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CFG, field: value}))
+    assert run(["synth", "--config", str(path), "--out", str(tmp_path / "s.json")]) == 2
+    assert f"error: synth config '{field}' must be " in capsys.readouterr().err
 
 
 def test_reconstruct_cli_deterministic(tmp_path, scene_path):

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -332,6 +334,107 @@ def test_fuzzed_document_loads_or_raises_dataset_error(data):
         dataset_from_json(doc)
     except DatasetError:
         pass  # any other exception fails the test
+
+
+def _parity_ring(rng, n):
+    """Integer n-vertex star around (100, 100), often made non-simple: a
+    fold-back at an edge midpoint, two swapped vertices, or a moved vertex;
+    sometimes with a repeated vertex instead."""
+    pts = []
+    for k in range(n):
+        a = 2.0 * math.pi * (k + rng.uniform(-0.2, 0.2)) / n
+        r = rng.uniform(30.0, 40.0) if k % 2 == 0 else rng.uniform(15.0, 25.0)
+        pts.append((round(100 + r * math.cos(a)), round(100 + r * math.sin(a))))
+    roll = rng.random()
+    k = rng.randrange(n)
+    if roll < 0.12:
+        # the midpoint of edge k, visited right after the edge: a fold-back
+        (ax, ay), (bx, by) = pts[k], pts[(k + 1) % n]
+        pts = [(2 * x, 2 * y) for x, y in pts]
+        pts.insert(k + 2, (ax + bx, ay + by))
+    elif roll < 0.24:
+        j = rng.randrange(n)
+        pts[k], pts[j] = pts[j], pts[k]
+    elif roll < 0.3:
+        pts[k] = (rng.randint(60, 140), rng.randint(60, 140))
+    elif roll < 0.33:
+        pts[k] = pts[(k + 2) % n]
+    return pts
+
+
+def _flat(pts):
+    return [c for xy in pts for c in xy]
+
+
+def _parity_document(rng):
+    """1-3 images of 1-5 instances with rings of 3-40 vertices; some rings
+    are not simple, and bad heights, roof deviations, non-simple roofs and
+    frame violations are scattered before and after them."""
+    images = []
+    for i in range(rng.randint(1, 3)):
+        instances = []
+        for _ in range(rng.randint(1, 5)):
+            pts = _parity_ring(rng, rng.randint(3, 40))
+            if rng.random() < 0.06:
+                pts = [(x + 500, y) for x, y in pts]  # beyond the frame's 2 * width
+            inst = {"footprint": _flat(pts), "height": -1.0 if rng.random() < 0.06 else 10.0}
+            if rng.random() < 0.4:
+                dx, dy = rng.randint(-5, 5), rng.randint(-5, 5)
+                roof = [(x - dx, y - dy) for x, y in pts]
+                roll = rng.random()
+                if roll < 0.08:
+                    roof[0] = (roof[0][0] + 0.5, roof[0][1])  # deviates from footprint - offset
+                elif roll < 0.16 and len(roof) > 3:
+                    roof[0], roof[2] = roof[2], roof[0]  # usually crossing
+                inst.update(offset=[dx, dy], roof=_flat(roof))
+            instances.append(inst)
+        images.append({"id": f"img-{i}", "width": 200, "height": 200, "instances": instances})
+    return {"images": images}
+
+
+def _load_outcome(doc):
+    try:
+        return dataset_from_json(doc)
+    except DatasetError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("batch_pairs", [None, 1])
+def test_batched_simplicity_check_matches_per_polygon_loading(batch_pairs, monkeypatch):
+    from offnadir import dataset, geometry
+
+    if batch_pairs is not None:
+        monkeypatch.setattr(geometry, "_BATCH_PAIRS", batch_pairs)
+    rng = random.Random(5150)
+    outcomes = Counter()
+    preempted = 0
+    for _ in range(400):
+        doc = _parity_document(rng)
+        got = _load_outcome(doc)
+        with monkeypatch.context() as m:
+            # the reference: every ring fully checked by Polygon2D, in
+            # document order, before anything after it is parsed
+            m.setattr(dataset, "_canonical_ring", lambda v: Polygon2D(tuple(v)).vertices)
+            want = _load_outcome(doc)
+        assert got == want, doc
+        if isinstance(want, str):
+            outcomes[want.split(": ", 1)[1].split(" (")[0].split(" by ")[0]] += 1
+        else:
+            outcomes["loaded"] += 1
+        if isinstance(want, str) and "not simple" in want:
+            with monkeypatch.context() as m:
+                m.setattr(dataset, "_first_non_simple", lambda rings: None)
+                later = _load_outcome(doc)
+            # a bad height, roof deviation or frame violation the ring won over
+            preempted += isinstance(later, str) and any(
+                kind in later for kind in ("height must", "deviates", "allowed frame"))
+    assert outcomes["loaded"] >= 20
+    assert outcomes["polygon is not simple"] >= 100
+    assert outcomes["height must be finite and >= 0, got -1.0"] >= 10
+    assert outcomes["roof deviates from footprint - offset"] >= 10
+    assert outcomes["polygon has repeated vertices"] >= 10
+    assert outcomes["vertex"] >= 10  # outside the allowed frame
+    assert preempted >= 50
 
 
 def test_offset_without_height_loads_and_grades_n(tmp_path):

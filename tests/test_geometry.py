@@ -190,6 +190,13 @@ def test_translate_inverse_bit_exact_for_integer_vectors():
         assert translate_polygon(translate_polygon(p, v), -v) == p
 
 
+def test_translate_revalidates():
+    # translation rounds: both tiny offsets vanish against 1.0
+    tiny = Polygon2D(((0, 0), (1e-17, 0), (0, 1e-17)))
+    with pytest.raises(ValueError, match="polygon has repeated vertices"):
+        translate_polygon(tiny, Vec2(1, 0))
+
+
 def test_polygon_validation():
     with pytest.raises(ValueError):
         Polygon2D(((0, 0), (1, 0)))

@@ -126,6 +126,21 @@ def test_config_validation_and_json():
     assert cfg.buildings_per_image == (2, 4)
 
 
+def test_config_from_json_rejects_wrong_types():
+    good = {**SMALL, "buildings_per_image": [2, 4], "height_range": [3, 20]}
+    assert config_from_json(good).height_range == (3, 20)  # integers are numbers
+    bad = [
+        ("image_w", True), ("image_h", 96.0), ("n_images", None), ("seed", [1]),
+        ("seed", False), ("buildings_per_image", [2, 4.0]), ("buildings_per_image", [2]),
+        ("height_range", [3.0, "20"]), ("tan_theta_range", [0.2, float("nan")]),
+        ("phi_range", 1.0), ("scale_s", True), ("scale_s", 10**400),
+        ("shape_family", ["l_shape"]), ("integer_offsets", 1),
+    ]
+    for key, value in bad:
+        with pytest.raises(ValueError, match=f"synth config '{key}' must be "):
+            config_from_json({**good, key: value})
+
+
 # ---------------------------------------------------------------------------
 # degradation
 
