@@ -8,7 +8,6 @@ deterministic given its inputs and flags, and never mutates input files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -17,7 +16,10 @@ from .dataset import (
     Dataset,
     DatasetError,
     SupervisionLevel,
+    _number,
     _parse,
+    _read_json,
+    _write_json,
     grade_sample,
     load_dataset,
     save_dataset,
@@ -29,7 +31,7 @@ from .metrics import evaluate
 from .pseudobox import DEFAULT_EXPAND_RATIO, pseudo_bbox_level_h, pseudo_bbox_level_n, pseudo_offset
 from .raster import mask_to_rle, rasterize_polygon, translate_mask
 from .reconstruct import DEFAULT_EPSILON_PX, export_obj, reconstruct_dataset
-from .synth import SynthesisError, degrade_dataset, generate_scenes, load_config
+from .synth import SynthesisError, config_from_json, degrade_dataset, generate_scenes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,18 +47,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _write_json(obj, path) -> None:
-    if path == "-":
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
-
-
 def _cmd_synth(args) -> int:
-    cfg = load_config(args.config)
+    cfg = config_from_json(_read_json(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     dataset = generate_scenes(cfg)
@@ -221,38 +213,38 @@ def _cmd_eval(args) -> int:
 def _load_weights(path) -> LossWeights:
     if path is None:
         return LossWeights()
-    with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise DatasetError(f"weights file {path}: must be a JSON object")
     known = set(LossWeights.__dataclass_fields__)
     unknown = set(obj) - known
     if unknown:
-        raise DatasetError(f"unknown loss weight keys: {sorted(unknown)}")
-    return _parse(f"weights file {path}", lambda kw: LossWeights(**kw), obj)
+        raise DatasetError(f"weights file {path}: unknown loss weight keys {sorted(unknown)}")
+    where = f"weights file {path}"
+    kw = {key: _number(f"{where}, {key}", "weight", float, v) for key, v in obj.items()}
+    return _parse(where, lambda kw: LossWeights(**kw), kw)
 
 
 def _cmd_loss(args) -> int:
     weights = _load_weights(args.weights)
-    with open(args.components, encoding="utf-8") as f:
-        entries = json.load(f)
+    entries = _read_json(args.components)
     if not isinstance(entries, list):
-        raise DatasetError("components file must be a JSON array of samples")
+        raise DatasetError(f"components file {args.components}: must be a JSON array of samples")
     graded = []
     rows = []
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise DatasetError(f"sample {k}: must be a JSON object")
         entry = dict(entry)
-        try:
-            level = SupervisionLevel[entry.pop("level")]
-        except (KeyError, TypeError) as e:
-            raise DatasetError(f"sample {k}: bad or missing level {e}") from e
+        name = entry.pop("level", None)
+        if name not in ("N", "H", "OH"):
+            raise DatasetError(f'sample {k}: level must be "N", "H" or "OH", got {name!r}')
+        level = SupervisionLevel[name]
         ext_keys = {"l_rp", "l_rc", "l_mh", "l_o"}
-        ext = {key: _parse(f"sample {k}, {key}", float, entry.pop(key))
+        ext = {key: _number(f"sample {k}, {key}", "component", float, entry.pop(key))
                for key in list(entry) if key in ext_keys}
         comp_keys = {"l_f", "l_h", "l_ona", "l_ova"}
-        comps = {key: _parse(f"sample {k}, {key}", float, entry.pop(key))
+        comps = {key: _number(f"sample {k}, {key}", "component", float, entry.pop(key))
                  for key in list(entry) if key in comp_keys}
         if entry:
             raise DatasetError(f"sample {k}: unknown component keys {sorted(entry)}")
@@ -400,7 +392,7 @@ def run(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (DatasetError, SynthesisError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (DatasetError, SynthesisError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -17,9 +17,11 @@ round trip.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from .geometry import ImagePose, Polygon2D, Vec2, _canonical_ring, _first_non_simple
@@ -102,6 +104,27 @@ def grade_instance(inst: BuildingInstance) -> SupervisionLevel:
 def _is_integer(v) -> bool:
     # bool is an int subclass, but {"width": true} is not a 1-px image
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+_NOT_NUMBERS = frozenset((bool, str))  # float() takes them; JSON numbers they are not
+
+
+def _number(where: str, what: str, convert, value):
+    """convert(value) as _parse reports it, then a DatasetError if value, or
+    an item of a list value, was a boolean or a string.
+
+    Converting first keeps the message of every value convert rejects; a
+    list reaches the type pass only when convert accepted it, a scalar only
+    when float() did, which no list passes.
+    """
+    out = _parse(where, convert, value)
+    if isinstance(value, (list, tuple)):
+        if _NOT_NUMBERS.isdisjoint(map(type, value)):
+            return out
+        value = next(v for v in value if type(v) in _NOT_NUMBERS)
+    elif type(value) not in _NOT_NUMBERS:
+        return out
+    raise DatasetError(f"{where}: {what} must be a JSON number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -202,7 +225,9 @@ def _flat_to_polygon(values, where: str, unchecked: list) -> Polygon2D:
         raise DatasetError(
             f"{where}: polygon needs an even number of >= 6 coordinates, got {len(values)}"
         )
-    verts = _parse(where, _canonical_ring, zip(values[0::2], values[1::2]))
+    verts = _number(
+        where, "coordinate", lambda v: _canonical_ring(zip(v[0::2], v[1::2])), values
+    )
     unchecked.append((verts, where))
     return Polygon2D._trusted(verts)
 
@@ -227,11 +252,11 @@ def _instance_from_json(obj, where: str, unchecked: list) -> BuildingInstance:
     if offset is not None:
         if not (isinstance(offset, (list, tuple)) and len(offset) == 2):
             raise DatasetError(f"{where}: offset must be a [dx, dy] pair")
-        offset = _parse(where, lambda xy: Vec2(*map(float, xy)), offset)
+        offset = _number(where, "offset", lambda xy: Vec2(*map(float, xy)), offset)
     footprint = None if footprint is None else _flat_to_polygon(footprint, where, unchecked)
     roof = None if roof is None else _flat_to_polygon(roof, where + " (roof)", unchecked)
-    height = None if height is None else _parse(where, float, height)
-    score = None if score is None else _parse(where, float, score)
+    height = None if height is None else _number(where, "height", float, height)
+    score = None if score is None else _number(where, "score", float, score)
     try:
         return BuildingInstance(
             footprint=footprint,
@@ -266,11 +291,13 @@ def _record_from_json(obj, index: int, unchecked: list) -> SampleRecord:
         raise DatasetError(f"images[{index}] must be an object")
     obj = dict(obj)
     try:
-        image_id = str(obj.pop("id"))
+        image_id = obj.pop("id")
         width = obj.pop("width")
         height = obj.pop("height")
     except KeyError as e:
         raise DatasetError(f"images[{index}]: missing required key {e}") from e
+    if not isinstance(image_id, str):
+        raise DatasetError(f"images[{index}]: id must be a string, got {image_id!r}")
     where = f"image {image_id!r}"
     pose_obj = obj.pop("pose", None)
     pose = None
@@ -281,7 +308,7 @@ def _record_from_json(obj, index: int, unchecked: list) -> SampleRecord:
         pose_obj = dict(pose_obj)
         try:
             pose = ImagePose(*(
-                _parse(f"{where}, pose {key}", float, pose_obj.pop(key))
+                _number(f"{where}, pose {key}", "value", float, pose_obj.pop(key))
                 for key in ("tan_theta", "phi", "scale_s")
             ))
         except KeyError as e:
@@ -361,24 +388,36 @@ def _check_rings(unchecked: list) -> None:
         raise DatasetError(f"{unchecked[index][1]}: {message}") from None
 
 
-def load_dataset(path) -> Dataset:
-    """Read and validate a dataset JSON file."""
+def _read_json(path):
+    """Parse a UTF-8 JSON file; failing to read or parse it is a
+    DatasetError that names the file."""
     try:
         with open(path, encoding="utf-8") as f:
-            obj = json.load(f)
+            return json.load(f)
     except OSError as e:
         raise DatasetError(f"cannot read {path}: {e}") from e
     except (ValueError, RecursionError) as e:
         # JSONDecodeError, UnicodeDecodeError, integers beyond the digit limit
         raise DatasetError(f"{path} is not valid JSON: {e}") from e
-    return dataset_from_json(obj)
+
+
+def _write_json(obj, path) -> None:
+    """Write obj as JSON indented by 2 plus a final newline, UTF-8 with LF
+    line ends; the path "-" means stdout."""
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", encoding="utf-8", newline="\n")) as f:
+        json.dump(obj, f, indent=2)
+        f.write("\n")
+
+
+def load_dataset(path) -> Dataset:
+    """Read and validate a dataset JSON file."""
+    return dataset_from_json(_read_json(path))
 
 
 def save_dataset(d: Dataset, path) -> None:
     """Write a dataset as JSON; coordinates keep full float precision."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(dataset_to_json(d), f, indent=2)
-        f.write("\n")
+    _write_json(dataset_to_json(d), path)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +451,7 @@ def validate_consistency(record: SampleRecord, tol_px: float = 1e-6) -> Consiste
     Instances that cannot be checked are reported in the notes; findings
     are diagnostics, not failures.
     """
-    if tol_px < 0:
+    if not tol_px >= 0:  # false for NaN too
         raise ValueError(f"tol_px must be >= 0, got {tol_px}")
     if record.pose is None:
         return ConsistencyReport(notes=("pose absent; consistency not checkable",))

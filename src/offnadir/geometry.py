@@ -92,11 +92,16 @@ def height_from_offset(offset: Vec2, pose: ImagePose) -> float:
     """Building height (meters) implied by an offset vector.
 
     Raises ValueError at nadir (tan_theta == 0), where height is
-    unobservable from the offset.
+    unobservable from the offset, and where scale_s * tan_theta underflows
+    to 0.
     """
-    if pose.tan_theta == 0:
-        raise ValueError("height is unobservable at nadir (tan_theta == 0)")
-    return offset.norm() / (pose.scale_s * pose.tan_theta)
+    px_per_m = pose.scale_s * pose.tan_theta
+    if px_per_m == 0:
+        raise ValueError(
+            f"height is unobservable at nadir (scale_s * tan_theta == 0, "
+            f"tan_theta = {pose.tan_theta!r})"
+        )
+    return offset.norm() / px_per_m
 
 
 @dataclass(frozen=True)

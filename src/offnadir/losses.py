@@ -8,6 +8,7 @@ nonnegative scalars. Everything else is computed here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,20 @@ from .geometry import Vec2
 
 PROB_CLAMP = 1e-12  # guards log(0) in the mask cross entropy
 UNIT_NORM_TOL = 1e-9
+
+
+def _check_nonnegative(obj, names, prefix: str = "") -> None:
+    """Raise ValueError naming the first of obj's fields that is set but is
+    not a finite real number >= 0; a boolean is not a number here."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is None:
+            continue
+        # 0 <= value < inf is false for NaN and compares huge ints exactly
+        if isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and 0 <= value < math.inf
+        ):
+            raise ValueError(f"{prefix}{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,9 +53,7 @@ class LossWeights:
     smooth_l1_beta: float = 1.0
 
     def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"LossWeights.{name} must be finite and >= 0, got {value!r}")
+        _check_nonnegative(self, self.__dataclass_fields__, "LossWeights.")
         if self.smooth_l1_beta <= 0:
             raise ValueError("smooth_l1_beta must be > 0")
 
@@ -55,14 +68,12 @@ class ExternalLossInputs:
     l_o: float = 0.0  # offset head
 
     def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        _check_nonnegative(self, self.__dataclass_fields__)
 
 
 def smooth_l1(pred, gt, beta: float = 1.0) -> float:
     """Mean smooth-L1: quadratic inside |d| < beta, linear outside."""
-    if beta <= 0:
+    if not beta > 0:  # false for NaN too
         raise ValueError(f"beta must be > 0, got {beta}")
     p = np.asarray(pred, dtype=float).ravel()
     g = np.asarray(gt, dtype=float).ravel()
@@ -138,12 +149,7 @@ class LevelComponents:
     external: ExternalLossInputs | None = None
 
     def __post_init__(self):
-        for name in ("l_f", "l_h", "l_ona", "l_ova"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        _check_nonnegative(self, ("l_f", "l_h", "l_ona", "l_ova"))
 
     def require(self, level: SupervisionLevel, *names: str):
         for name in names:

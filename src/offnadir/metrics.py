@@ -66,13 +66,19 @@ def _footprint_masks(instances, grid):
     return masks
 
 
+def _check_iou_threshold(iou_threshold) -> None:
+    if not 0.0 <= iou_threshold <= 1.0:  # false for NaN too
+        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+
+
 def match_instances(preds, gts, iou_threshold: float = 0.5, grid=(512, 512)) -> MatchResult:
     """Greedy score-descending matching of predictions to ground truth.
 
     Each prediction (ties broken by input order) claims the unmatched
     ground-truth instance of highest footprint-mask IoU, if that IoU
-    reaches the threshold.
+    reaches the threshold, which must lie in [0, 1].
     """
+    _check_iou_threshold(iou_threshold)
     preds = list(preds)
     gts = list(gts)
     pred_masks = _footprint_masks(preds, grid)
@@ -285,6 +291,7 @@ def evaluate(
     Both datasets must cover exactly the same image ids. Angle errors use
     only images where both records carry a pose.
     """
+    _check_iou_threshold(iou_threshold)
     preds = pred_dataset.by_id()
     gts = gt_dataset.by_id()
     if set(preds) != set(gts):

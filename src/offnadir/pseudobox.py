@@ -54,7 +54,7 @@ def pseudo_bbox_level_n(
     """Building bbox from footprint alone: each side pushed outward by
     expand_ratio times that dimension, then clipped to the image.
     """
-    if expand_ratio < 0:
+    if not expand_ratio >= 0:  # false for NaN too
         raise ValueError(f"expand_ratio must be >= 0, got {expand_ratio}")
     box = bbox_of(footprint)
     mx = expand_ratio * box.width

@@ -1,4 +1,4 @@
-"""Vectorized 3D model tail: polygon simplification, prism extrusion, and
+"""3D model tail: polygon simplification, prism extrusion, and
 OBJ export.
 
 Footprints are simplified with Douglas-Peucker (adapted to closed rings by
@@ -48,6 +48,11 @@ def _point_segment_dist_sq(p, a, b) -> float:
     return (px - cx) ** 2 + (py - cy) ** 2
 
 
+def _check_epsilon(epsilon) -> None:
+    if not epsilon >= 0:  # false for NaN too
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+
+
 def simplify_chain(points, epsilon: float):
     """Douglas-Peucker on an open polyline; endpoints are always kept.
 
@@ -57,8 +62,7 @@ def simplify_chain(points, epsilon: float):
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
         raise ValueError("chain needs at least 2 points")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    _check_epsilon(epsilon)
     eps_sq = epsilon * epsilon
     keep = [False] * len(pts)
     keep[0] = keep[-1] = True
@@ -88,8 +92,7 @@ def simplify_dp(p: Polygon2D, epsilon: float) -> Polygon2D:
     chain is simplified, and the halves are rejoined. Raises ValueError if
     the result would collapse below 3 vertices or degenerate.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    _check_epsilon(epsilon)
     verts = list(p.vertices)
     n = len(verts)
     best = (-1.0, 0, 1)
@@ -315,8 +318,13 @@ def reconstruct_dataset(
     the offset; the polygon is simplified, then extruded to the instance
     height (or default_height). The scale comes from the record pose or
     default_scale_s. Instances that cannot be reconstructed are skipped and
-    reported, not fatal.
+    reported, not fatal; a NaN or negative epsilon and a non-finite
+    default are a ValueError instead.
     """
+    _check_epsilon(epsilon)
+    for name, value in (("default_height", default_height), ("default_scale_s", default_scale_s)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     meshes = []
     skipped = []
     for record in sorted(d.records, key=lambda r: r.image_id):

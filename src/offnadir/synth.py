@@ -11,7 +11,6 @@ still holds exactly (see ``_snap_direction``).
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -72,8 +71,10 @@ class SynthConfig:
             raise ValueError(f"n_images must be >= 0, got {self.n_images}")
         for name in ("buildings_per_image", "height_range", "tan_theta_range", "phi_range"):
             pair = getattr(self, name)
-            if len(pair) != 2 or pair[0] > pair[1]:
+            if len(pair) != 2 or not pair[0] <= pair[1]:  # false for NaN too
                 raise ValueError(f"{name} must be a nonempty [min, max] range, got {pair}")
+            if name != "buildings_per_image" and not all(map(math.isfinite, pair)):
+                raise ValueError(f"{name} must be finite, got {pair}")
             object.__setattr__(self, name, tuple(pair))
         if self.buildings_per_image[0] < 0:
             raise ValueError("buildings_per_image must be >= 0")
@@ -81,8 +82,8 @@ class SynthConfig:
             raise ValueError("height_range must be >= 0")
         if self.tan_theta_range[0] < 0:
             raise ValueError("tan_theta_range must be >= 0")
-        if self.scale_s <= 0:
-            raise ValueError(f"scale_s must be > 0, got {self.scale_s}")
+        if not 0 < self.scale_s < math.inf:
+            raise ValueError(f"scale_s must be finite and > 0, got {self.scale_s}")
         if self.shape_family not in SHAPE_FAMILIES:
             raise ValueError(f"shape_family must be one of {SHAPE_FAMILIES}")
         if not (0 <= self.seed < 2**64):
@@ -127,11 +128,6 @@ def config_from_json(obj) -> SynthConfig:
         if key in obj and not is_valid(obj[key]):
             raise ValueError(f"synth config {key!r} must be {kind}")
     return SynthConfig(**obj)
-
-
-def load_config(path) -> SynthConfig:
-    with open(path, encoding="utf-8") as f:
-        return config_from_json(json.load(f))
 
 
 def _primitive_directions():

@@ -6,7 +6,13 @@ import re
 import pytest
 
 from offnadir.cli import run
-from offnadir.dataset import load_dataset
+from offnadir.dataset import load_dataset, validate_consistency
+from offnadir.geometry import Polygon2D
+from offnadir.losses import smooth_l1
+from offnadir.metrics import evaluate, match_instances
+from offnadir.pseudobox import pseudo_bbox_level_n
+from offnadir.reconstruct import reconstruct_dataset, simplify_chain, simplify_dp
+from offnadir.synth import SynthConfig
 
 CFG = dict(
     image_w=96,
@@ -263,3 +269,114 @@ def test_degrade_fraction_bounds(tmp_path, scene_path):
              "--frac-oh", "0.8", "--frac-h", "0.8", "--seed", "0"])
         == 2
     )
+
+
+GOOD_COMPONENTS = [{"level": "N", "l_f": 0.5}]
+
+
+def _unreadable_argv(tmp_path, bad):
+    comp = tmp_path / "good-components.json"
+    comp.write_text(json.dumps(GOOD_COMPONENTS))
+    return {
+        "synth": ["synth", "--config", str(bad), "--out", str(tmp_path / "s.json")],
+        "components": ["loss", "--components", str(bad)],
+        "weights": ["loss", "--components", str(comp), "--weights", str(bad)],
+        "grade": ["grade", "--in", str(bad)],
+    }
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff{}", b"[" * 100_000, None],
+                         ids=["syntax", "utf8", "deep", "missing"])
+@pytest.mark.parametrize("command", ["synth", "components", "weights", "grade"])
+def test_unreadable_json_input_exits_2_naming_the_file(tmp_path, capsys, command, content):
+    bad = tmp_path / "input.json"
+    if content is not None:
+        bad.write_bytes(content)
+    assert run(_unreadable_argv(tmp_path, bad)[command]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "components, weights, message",
+    [
+        ([{"level": "N", "l_f": True}], None, r"error: sample 0, l_f: component must be a JSON number"),
+        ([{"level": "N", "l_f": "0.5"}], None, r"error: sample 0, l_f: component must be a JSON"),
+        ([{"level": "H", "l_f": 0.5, "l_h": 0.1, "l_rp": True}], None, r"error: sample 0, l_rp: "),
+        (GOOD_COMPONENTS, {"alpha1": True}, r"error: weights file .*w.json, alpha1: weight must"),
+        (GOOD_COMPONENTS, {"alpha1": [1]}, r"error: weights file .*w.json, alpha1: "),
+        (GOOD_COMPONENTS, {"beta2": -1}, r"error: weights file .*w.json: .*beta2 must be finite"),
+        ([{"level": ["N"], "l_f": 0.5}], None, r"error: sample 0: level must be \"N\", \"H\" or"),
+        ([{"l_f": 0.5}], None, r"error: sample 0: level must be .*, got None"),
+        (GOOD_COMPONENTS, {"gamma": 1.0}, r"error: weights file .*w.json: unknown .*'gamma'"),
+        ({"level": "N"}, None, r"error: components file .*components.json: must be a JSON array"),
+    ],
+    ids=["component-true", "component-string", "external-true", "weight-true", "weight-list",
+         "weight-negative", "level-list", "level-missing", "weight-unknown", "not-an-array"],
+)
+def test_loss_cli_errors_name_the_sample_weight_or_file(
+    tmp_path, capsys, components, weights, message
+):
+    comp = tmp_path / "components.json"
+    comp.write_text(json.dumps(components))
+    argv = ["loss", "--components", str(comp)]
+    if weights is not None:
+        (tmp_path / "w.json").write_text(json.dumps(weights))
+        argv += ["--weights", str(tmp_path / "w.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err), err
+    assert "Traceback" not in err
+
+
+def test_dash_report_path_writes_to_stdout(scene_path, capsys):
+    assert run(["grade", "--in", str(scene_path), "--report", "-"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    assert sum(report["counts"].values()) == len(load_dataset(scene_path))
+    assert out.endswith("}\n")
+
+
+SQUARE = Polygon2D(((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)))
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "name, call, argv",
+    [
+        ("iou_threshold", lambda d: evaluate(d, d, iou_threshold=NAN),
+         ["eval", "--pred", "{scene}", "--gt", "{scene}", "--iou", "nan"]),
+        ("iou_threshold", lambda d: evaluate(d, d, iou_threshold=2.0),
+         ["eval", "--pred", "{scene}", "--gt", "{scene}", "--iou", "2"]),
+        ("iou_threshold", lambda d: match_instances([], [], -0.5), None),
+        ("epsilon", lambda d: reconstruct_dataset(d, epsilon=NAN),
+         ["reconstruct", "--in", "{scene}", "--out", "{out}", "--epsilon", "nan"]),
+        ("epsilon", lambda d: simplify_dp(SQUARE, NAN), None),
+        ("epsilon", lambda d: simplify_chain([(0.0, 0.0), (1.0, 1.0)], NAN), None),
+        ("default_height", lambda d: reconstruct_dataset(d, default_height=NAN),
+         ["reconstruct", "--in", "{scene}", "--out", "{out}", "--default-height", "nan"]),
+        ("default_scale_s", lambda d: reconstruct_dataset(d, default_scale_s=math.inf),
+         ["reconstruct", "--in", "{scene}", "--out", "{out}", "--scale", "inf"]),
+        ("tol_px", lambda d: validate_consistency(d.records[0], NAN),
+         ["validate", "--in", "{scene}", "--tol", "nan"]),
+        ("expand_ratio", lambda d: pseudo_bbox_level_n(SQUARE, NAN, 64, 64),
+         ["pbc", "--in", "{scene}", "--out", "{out}", "--level", "n", "--expand-ratio", "nan"]),
+        ("beta", lambda d: smooth_l1([0.0], [0.0], beta=NAN), None),
+        ("scale_s", lambda d: SynthConfig(scale_s=NAN), None),
+        ("height_range", lambda d: SynthConfig(height_range=(NAN, 3.0)), None),
+        ("phi_range", lambda d: SynthConfig(phi_range=(0.0, math.inf)), None),
+    ],
+    ids=["eval-iou-nan", "eval-iou-2", "match-iou", "reconstruct-epsilon", "simplify-dp",
+         "simplify-chain", "default-height", "default-scale", "validate-tol", "pbc-expand-ratio",
+         "smooth-l1-beta", "synth-scale", "synth-height-range", "synth-phi-range"],
+)
+def test_parameter_checks_reject_nan_and_out_of_range(
+    tmp_path, scene_path, capsys, name, call, argv
+):
+    with pytest.raises(ValueError, match=name):
+        call(load_dataset(scene_path))
+    if argv is not None:
+        argv = [a.format(scene=scene_path, out=tmp_path / "out") for a in argv]
+        assert run(argv) == 2
+        assert name in capsys.readouterr().err

@@ -283,6 +283,45 @@ def test_load_turns_malformed_values_into_dataset_errors(tmp_path, capsys, path,
     assert capsys.readouterr().err.startswith("error: image 'img'")
 
 
+NUMBER_POSITIONS = {
+    "footprint-x": (INSTANCE + ("footprint", 0), "10"),
+    "roof-y": (INSTANCE + ("roof", 1), "10"),
+    "offset-dx": (INSTANCE + ("offset", 0), "5"),
+    "offset-dy": (INSTANCE + ("offset", 1), "0"),
+    "height": (INSTANCE + ("height",), "10.0"),
+    "score": (INSTANCE + ("score",), "0.5"),
+    "tan_theta": (IMAGE + ("pose", "tan_theta"), "0.5"),
+    "phi": (IMAGE + ("pose", "phi"), "0"),
+    "scale_s": (IMAGE + ("pose", "scale_s"), "1"),
+}
+
+
+@pytest.mark.parametrize("kind", ["boolean", "string"])
+@pytest.mark.parametrize("position", sorted(NUMBER_POSITIONS))
+def test_load_rejects_booleans_and_strings_as_numbers(tmp_path, capsys, position, kind):
+    path, numeric_string = NUMBER_POSITIONS[position]
+    doc = _valid_document()
+    _set(doc, path, True if kind == "boolean" else numeric_string)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match=r"^image 'img'.*must be a JSON number, got "):
+        load_dataset(file)
+    assert run(["grade", "--in", str(file)]) == 2
+    assert capsys.readouterr().err.startswith("error: image 'img'")
+
+
+@pytest.mark.parametrize("image_id", [5, None, True, ["img"]])
+def test_load_rejects_non_string_image_ids(tmp_path, capsys, image_id):
+    doc = _valid_document()
+    _set(doc, IMAGE + ("id",), image_id)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match=r"^images\[0\]: id must be a string, got "):
+        load_dataset(file)
+    assert run(["grade", "--in", str(file)]) == 2
+    assert capsys.readouterr().err.startswith("error: images[0]: id must be a string")
+
+
 def test_frame_check_takes_dimensions_too_large_for_a_float():
     doc = _valid_document()
     _set(doc, IMAGE + ("width",), 10**400)

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offnadir import geometry
 from offnadir.geometry import (
@@ -67,6 +69,27 @@ def test_roundtrip_height_offset():
         )
         back = height_from_offset(offset_from_pose(h, pose), pose)
         assert back == pytest.approx(h, rel=1e-9, abs=1e-12)
+
+
+def test_height_unobservable_when_the_pixel_scale_underflows():
+    # tan_theta > 0, but scale_s * tan_theta rounds to 0
+    with pytest.raises(ValueError, match="unobservable"):
+        height_from_offset(Vec2(0.0, 0.0), ImagePose(5e-324, 0.0, 0.5))
+
+
+# criterion 01's domain and relative tolerance; tan_theta >= 1e-290 keeps
+# the offset a normal float, as a subnormal one has fewer than 53 bits
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    h=st.floats(1.0, 200.0),
+    tan_theta=st.floats(1e-290, 1.5),
+    phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    scale_s=st.floats(0.3, 3.0),
+)
+def test_height_offset_round_trip_property(h, tan_theta, phi, scale_s):
+    pose = ImagePose(tan_theta, phi, scale_s)
+    back = height_from_offset(offset_from_pose(h, pose), pose)
+    assert abs(back - h) <= 1e-9 * h
 
 
 def test_offset_magnitude_matches_closed_form():
