@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import __version__
 from .dataset import (
@@ -25,10 +25,10 @@ from .dataset import (
     save_dataset,
     validate_consistency,
 )
-from .geometry import translate_polygon
+from .geometry import offset_from_pose, translate_polygon
 from .losses import ExternalLossInputs, LevelComponents, LossWeights, hybrid_loss, level_loss
 from .metrics import evaluate
-from .pseudobox import DEFAULT_EXPAND_RATIO, pseudo_bbox_level_h, pseudo_bbox_level_n, pseudo_offset
+from .pseudobox import DEFAULT_EXPAND_RATIO, pseudo_bbox_level_h, pseudo_bbox_level_n
 from .raster import mask_to_rle, rasterize_polygon, translate_mask
 from .reconstruct import DEFAULT_EPSILON_PX, export_obj, reconstruct_dataset
 from .synth import SynthesisError, config_from_json, degrade_dataset, generate_scenes
@@ -36,6 +36,10 @@ from .synth import SynthesisError, config_from_json, degrade_dataset, generate_s
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+# component keys of a loss sample; the detection-network ones are read first
+_EXTERNAL_KEYS = frozenset(f.name for f in fields(ExternalLossInputs))
+_LEVEL_KEYS = frozenset(f.name for f in fields(LevelComponents) if f.name != "external")
 
 
 class UsageError(Exception):
@@ -125,7 +129,7 @@ def _cmd_pbc(args) -> int:
                     raise DatasetError(
                         f"image {r.image_id!r}, instance {k}: height required for level h"
                     )
-                v = pseudo_offset(inst.height, r.pose.scale_s, r.pose.tan_theta, r.pose.phi)
+                v = offset_from_pose(inst.height, r.pose)
                 box = pseudo_bbox_level_h(inst.footprint, v, r.width, r.height)
             boxes.append([box.x_min, box.y_min, box.x_max, box.y_max])
         images.append({"id": r.image_id, "boxes": boxes})
@@ -240,12 +244,10 @@ def _cmd_loss(args) -> int:
         if name not in ("N", "H", "OH"):
             raise DatasetError(f'sample {k}: level must be "N", "H" or "OH", got {name!r}')
         level = SupervisionLevel[name]
-        ext_keys = {"l_rp", "l_rc", "l_mh", "l_o"}
         ext = {key: _number(f"sample {k}, {key}", "component", float, entry.pop(key))
-               for key in list(entry) if key in ext_keys}
-        comp_keys = {"l_f", "l_h", "l_ona", "l_ova"}
+               for key in list(entry) if key in _EXTERNAL_KEYS}
         comps = {key: _number(f"sample {k}, {key}", "component", float, entry.pop(key))
-                 for key in list(entry) if key in comp_keys}
+                 for key in list(entry) if key in _LEVEL_KEYS}
         if entry:
             raise DatasetError(f"sample {k}: unknown component keys {sorted(entry)}")
         try:

@@ -380,11 +380,10 @@ class Polygon2D:
 
     def __post_init__(self):
         verts = _canonical_ring(self.vertices)
-        n = len(verts)
-        if n >= _BROADCAST_MIN_VERTICES:
-            first = int(_check_simple_broadcast(np.array([verts], dtype=float))[0])
-            if first >= 0:
-                raise ValueError(_simplicity_message(n, first))
+        if len(verts) >= _BROADCAST_MIN_VERTICES:
+            found = _first_non_simple((verts,))
+            if found is not None:
+                raise ValueError(found[1])
         else:
             _check_simple(verts)
         object.__setattr__(self, "vertices", verts)

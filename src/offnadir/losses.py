@@ -115,22 +115,22 @@ def offset_angle_loss(v_pred: Vec2, v_gt_unit: Vec2, lambda1: float = 0.1) -> fl
     return l1 + lambda1 * abs(v_pred.norm() - 1.0)
 
 
-def off_nadir_loss(tan_pred, tan_gt) -> float:
-    """Mean absolute error between predicted and true off-nadir tangents."""
-    p = np.asarray(tan_pred, dtype=float)
-    g = np.asarray(tan_gt, dtype=float)
+def _mean_abs_error(pred, gt) -> float:
+    p = np.asarray(pred, dtype=float)
+    g = np.asarray(gt, dtype=float)
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
     return float(np.mean(np.abs(p - g)))
+
+
+def off_nadir_loss(tan_pred, tan_gt) -> float:
+    """Mean absolute error between predicted and true off-nadir tangents."""
+    return _mean_abs_error(tan_pred, tan_gt)
 
 
 def height_loss(h_pred, h_gt) -> float:
     """Mean absolute height error (meters); scalars or per-instance vectors."""
-    p = np.asarray(h_pred, dtype=float)
-    g = np.asarray(h_gt, dtype=float)
-    if p.shape != g.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
-    return float(np.mean(np.abs(p - g)))
+    return _mean_abs_error(h_pred, h_gt)
 
 
 def loft_loss(x: ExternalLossInputs, w: LossWeights = LossWeights()) -> float:

@@ -181,6 +181,8 @@ def extrude_prism(footprint: Polygon2D, h: float, scale_s: float) -> Mesh3D:
     if not (math.isfinite(scale_s) and scale_s > 0):
         raise ValueError(f"scale_s must be > 0, got {scale_s!r}")
     ring = [(x / scale_s, y / scale_s) for x, y in footprint.vertices]
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in ring):
+        raise ValueError(f"footprint coordinates overflow when divided by scale_s={scale_s!r}")
     n = len(ring)
     cap = _ear_clip(ring)
     vertices = [(x, y, 0.0) for x, y in ring] + [(x, y, float(h)) for x, y in ring]
@@ -330,31 +332,21 @@ def reconstruct_dataset(
     for record in sorted(d.records, key=lambda r: r.image_id):
         scale = record.pose.scale_s if record.pose is not None else default_scale_s
         for k, inst in enumerate(record.instances):
-            name = f"{record.image_id}_{k:03d}"
-
-            def skip(reason):
-                skipped.append(SkippedInstance(record.image_id, k, reason))
-
-            if inst.footprint is not None:
-                footprint = inst.footprint
-            elif inst.roof is not None and inst.offset is not None:
+            # BuildingInstance guarantees a footprint or a roof with an offset
+            footprint = inst.footprint
+            if footprint is None:
                 footprint = translate_polygon(inst.roof, inst.offset)
-            else:
-                skip("no footprint and no roof+offset")
-                continue
             height = inst.height if inst.height is not None else default_height
-            if height is None:
-                skip("no height and no default height")
-                continue
-            if height <= 0:
-                skip(f"height {height} is not extrudable")
-                continue
-            if scale is None:
-                skip("no pose scale and no default scale")
-                continue
             try:
-                simplified = simplify_dp(footprint, epsilon)
-                meshes.append((name, extrude_prism(simplified, height, scale)))
+                if height is None:
+                    raise ValueError("no height and no default height")
+                if height <= 0:
+                    raise ValueError(f"height {height} is not extrudable")
+                if scale is None:
+                    raise ValueError("no pose scale and no default scale")
+                mesh = extrude_prism(simplify_dp(footprint, epsilon), height, scale)
             except ValueError as e:
-                skip(str(e))
+                skipped.append(SkippedInstance(record.image_id, k, str(e)))
+            else:
+                meshes.append((f"{record.image_id}_{k:03d}", mesh))
     return ReconstructionResult(meshes=tuple(meshes), skipped=tuple(skipped))

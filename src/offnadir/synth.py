@@ -11,6 +11,7 @@ still holds exactly (see ``_snap_direction``).
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -31,7 +32,6 @@ from .geometry import (
     ImagePose,
     Polygon2D,
     Vec2,
-    bbox_of,
     height_from_offset,
     normalize_angle,
     offset_from_pose,
@@ -140,55 +140,44 @@ def _primitive_directions():
     return dirs
 
 
-_DIRECTIONS = _primitive_directions()
+_DIRECTIONS = sorted(_primitive_directions(), key=lambda d: d[2])
+_ANGLES = [ang for _, _, ang in _DIRECTIONS]
 
 
 def _snap_direction(phi: float):
-    """Closest primitive integer direction (a, b) to the angle phi.
+    """Closest primitive integer direction (a, b) to the angle phi in [0, 2*pi).
 
     Integer offsets must all be exact multiples of one lattice vector,
     otherwise the image-wise angle could not match every instance exactly;
-    ties prefer the shorter vector.
+    ties prefer the shorter vector. The closest direction is one of the two
+    circular neighbours of phi in the angle-sorted table.
     """
-    best = None
-    for a, b, ang in _DIRECTIONS:
+
+    def key(direction):
+        a, b, ang = direction
         d = abs(ang - phi) % (2.0 * math.pi)
-        d = min(d, 2.0 * math.pi - d)
-        key = (d, a * a + b * b, ang)
-        if best is None or key < best[0]:
-            best = (key, a, b)
-    return best[1], best[2]
+        return (min(d, 2.0 * math.pi - d), a * a + b * b, ang)
+
+    i = bisect.bisect(_ANGLES, phi)
+    a, b, _ = min(_DIRECTIONS[i - 1], _DIRECTIONS[i % len(_DIRECTIONS)], key=key)
+    return a, b
 
 
-def _sample_rect(x0, y0, w, h):
-    return Polygon2D(((x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)))
-
-
-def _sample_l_shape(rng, x0, y0, w, h):
-    # rectangle with the (x1, y1) corner notched out
-    nx = int(rng.integers(2, w - 1))
-    ny = int(rng.integers(2, h - 1))
-    x1, y1 = x0 + w, y0 + h
+def _footprint(box, notch):
+    """Rectangle over box = (x0, y0, x1, y1); with notch = (nx, ny), an L
+    shape: its (x1, y1) corner notched out by nx x ny. Either spans box."""
+    x0, y0, x1, y1 = box
+    if notch is None:
+        return Polygon2D(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    nx, ny = notch
     return Polygon2D(
-        (
-            (x0, y0),
-            (x1, y0),
-            (x1, y1 - ny),
-            (x1 - nx, y1 - ny),
-            (x1 - nx, y1),
-            (x0, y1),
-        )
+        ((x0, y0), (x1, y0), (x1, y1 - ny), (x1 - nx, y1 - ny), (x1 - nx, y1), (x0, y1))
     )
 
 
 def _separated(a, b) -> bool:
-    # require a >= 1 px gap between footprint bboxes
-    return (
-        a.x_min - 1 > b.x_max
-        or b.x_min > a.x_max + 1
-        or a.y_min - 1 > b.y_max
-        or b.y_min > a.y_max + 1
-    )
+    # require a >= 1 px gap between footprint boxes (x_min, y_min, x_max, y_max)
+    return a[0] - 1 > b[2] or b[0] > a[2] + 1 or a[1] - 1 > b[3] or b[1] > a[3] + 1
 
 
 def _build_record(cfg: SynthConfig, index: int) -> SampleRecord:
@@ -233,13 +222,13 @@ def _build_record(cfg: SynthConfig, index: int) -> SampleRecord:
                 continue
             x0 = int(rng.integers(x_lo, x_hi + 1))
             y0 = int(rng.integers(y_lo, y_hi + 1))
-            if cfg.shape_family == "l_shape":
-                footprint = _sample_l_shape(rng, x0, y0, w_px, h_px)
-            else:
-                footprint = _sample_rect(x0, y0, w_px, h_px)
-            bb = bbox_of(footprint)
-            if all(_separated(bb, other) for other in placed):
-                placed.append(bb)
+            notch = None
+            if cfg.shape_family == "l_shape":  # drawn for a rejected box too: keeps the RNG stream
+                notch = (int(rng.integers(2, w_px - 1)), int(rng.integers(2, h_px - 1)))
+            box = (x0, y0, x0 + w_px, y0 + h_px)
+            if all(_separated(box, other) for other in placed):
+                placed.append(box)
+                footprint = _footprint(box, notch)
                 roof = translate_polygon(footprint, -v)
                 instances.append(
                     BuildingInstance(footprint=footprint, roof=roof, offset=v, height=h)
@@ -297,12 +286,10 @@ def degrade_dataset(d: Dataset, frac_oh: float, frac_h: float, seed: int) -> Dat
     for i, r in enumerate(d.records):
         if i in keep_oh:
             records.append(r)
-        elif i in to_h:
-            insts = tuple(strip_annotations(x, drop_offset=True) for x in r.instances)
-            records.append(replace(r, instances=insts))
         else:
             insts = tuple(
-                strip_annotations(x, drop_offset=True, drop_height=True) for x in r.instances
+                strip_annotations(x, drop_offset=True, drop_height=i not in to_h)
+                for x in r.instances
             )
             records.append(replace(r, instances=insts))
     return Dataset(records=tuple(records), metadata=dict(d.metadata), extra=dict(d.extra))

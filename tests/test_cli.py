@@ -139,6 +139,22 @@ def test_validate_cli_counts(scene_path, capsys):
     assert "0 finding(s)" in capsys.readouterr().out
 
 
+def test_validate_cli_report(tmp_path, scene_path):
+    data = json.loads(scene_path.read_text())
+    first = data["images"][0]["instances"][0]
+    first["height"] += 1.0  # the offset no longer matches the pose
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    report = tmp_path / "findings.json"
+    assert run(["validate", "--in", str(bad), "--report", str(report)]) == 0
+    out = json.loads(report.read_text())
+    assert [img["id"] for img in out["images"]] == [img["id"] for img in data["images"]]
+    findings = [f for img in out["images"] for f in img["findings"]]
+    assert out["total_findings"] == len(findings) >= 1
+    assert {(f["image_id"], f["instance_index"], f["kind"]) for f in findings} == {
+        (data["images"][0]["id"], 0, "magnitude")}
+
+
 def test_pbc_cli(tmp_path, scene_path):
     out = tmp_path / "boxes.json"
     assert run(["pbc", "--in", str(scene_path), "--out", str(out)]) == 0
@@ -169,6 +185,17 @@ def test_footprint_cli_polygon_mode(tmp_path, scene_path):
         for ia, ib in zip(a.instances, b.instances):
             # integer scenes: translate(roof, +offset) recovers the footprint
             assert ib.footprint == ia.footprint
+
+
+def test_footprint_cli_polygon_mode_keeps_roofless_instances(tmp_path, scene_path, capsys):
+    stripped = tmp_path / "stripped.json"
+    assert run(["degrade", "--in", str(scene_path), "--out", str(stripped),
+                "--frac-oh", "0.0", "--frac-h", "1.0"]) == 0
+    out = tmp_path / "fp.json"
+    assert run(["footprint", "--in", str(stripped), "--out", str(out)]) == 0
+    n = sum(len(r.instances) for r in load_dataset(scene_path).records)
+    assert f"derived 0 footprint(s), kept {n} as-is" in capsys.readouterr().err
+    assert load_dataset(out) == load_dataset(stripped)
 
 
 def test_footprint_cli_raster_mode(tmp_path, scene_path):
@@ -248,6 +275,21 @@ def test_reconstruct_cli_deterministic(tmp_path, scene_path):
     text = a.read_text()
     n_instances = sum(len(r.instances) for r in load_dataset(scene_path).records)
     assert text.count("\no ") == n_instances
+
+
+def test_reconstruct_cli_skips_coordinates_that_overflow_the_scale(tmp_path, capsys):
+    scene = tmp_path / "tiny_scale.json"
+    scene.write_text(json.dumps({"images": [{
+        "id": "a", "width": 16, "height": 16,
+        "pose": {"tan_theta": 0.5, "phi": 0.0, "scale_s": 5e-324},
+        "instances": [{"footprint": [2, 2, 8, 2, 8, 8, 2, 8], "height": 5.0}],
+    }]}))
+    obj = tmp_path / "out.obj"
+    assert run(["reconstruct", "--in", str(scene), "--out", str(obj)]) == 0
+    assert "inf" not in obj.read_text()
+    err = capsys.readouterr().err
+    assert "skipped image 'a' instance 0: footprint coordinates overflow" in err
+    assert "wrote 0 prism(s)" in err
 
 
 def test_exit_codes(tmp_path, cfg_path):

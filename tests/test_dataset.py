@@ -131,6 +131,16 @@ def test_save_load_roundtrip(tmp_path, int_scene_dataset):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_save_writes_and_load_reads_scores(tmp_path):
+    d = Dataset(records=(record_of(make_instance(score=0.97), make_instance(score=0.0),
+                                   make_instance()),))
+    path = tmp_path / "scored.json"
+    save_dataset(d, path)
+    written = json.loads(path.read_text())["images"][0]["instances"]
+    assert [inst.get("score") for inst in written] == [0.97, 0.0, None]
+    assert load_dataset(path) == d
+
+
 def test_roundtrip_preserves_grading_of_mixed_levels(tmp_path, int_scene_dataset):
     from offnadir.synth import degrade_dataset
 

@@ -293,3 +293,14 @@ def test_evaluate_partial_annotations_counted():
     assert agg.tp == 1
     assert agg.epe_pairs == 0 and agg.height_pairs == 0 and agg.angle_images == 0
     assert agg.epe == 0.0 and agg.height_mae == 0.0
+
+
+def test_zero_pixel_footprint_never_matches_itself():
+    # no pixel center lies inside a 0.1 px triangle: the mask is empty, and an
+    # IoU of 0/0 counts as 0, so self-evaluation reports one FP and one FN
+    tiny = Polygon2D(((10.2, 10.2), (10.3, 10.2), (10.2, 10.3)))
+    d = Dataset(records=(SampleRecord(image_id="a", width=32, height=32, pose=None,
+                                      instances=(inst(tiny),)),))
+    agg = evaluate(d, d).aggregate
+    assert (agg.tp, agg.fp, agg.fn) == (0, 1, 1)
+    assert agg.f1 == 0.0 and agg.precision == 0.0 and agg.recall == 0.0

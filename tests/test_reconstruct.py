@@ -4,8 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from offnadir.dataset import BuildingInstance, Dataset, SampleRecord
+from offnadir.dataset import BuildingInstance, Dataset, SampleRecord, dataset_from_json
 from offnadir.geometry import ImagePose, Polygon2D
 from offnadir.reconstruct import (
     Mesh3D,
@@ -190,6 +192,36 @@ def test_simplify_hausdorff_within_epsilon():
         done += 1
 
 
+@st.composite
+def star_rings(draw):
+    n = draw(st.integers(3, 24))
+    angles = sorted(draw(st.lists(st.floats(0.0, 2 * math.pi, exclude_max=True),
+                                  min_size=n, max_size=n, unique=True)))
+    radii = draw(st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n))
+    cx, cy = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+    try:
+        return Polygon2D(
+            tuple((cx + r * math.cos(a), cy + r * math.sin(a)) for a, r in zip(angles, radii))
+        )
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(star_rings(), st.floats(0.0, 4.0))
+def test_simplify_dropped_vertices_within_epsilon_property(p, eps):
+    try:
+        out = simplify_dp(p, eps)
+    except ValueError:
+        return
+    ring = out.vertices
+    segs = [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+    # a few ulps of the largest coordinate absorb the rounding of both distances
+    slack = 8 * math.ulp(max(abs(c) for xy in p.vertices for c in xy))
+    for q in set(p.vertices) - set(ring):
+        assert min(seg_dist(q, *s) for s in segs) <= eps + slack
+
+
 # ---------------------------------------------------------------------------
 # prisms
 
@@ -257,6 +289,27 @@ def test_prism_validation():
         extrude_prism(p, 1.0, 0.0)
 
 
+def test_prism_rejects_coordinates_that_overflow_the_scale():
+    p = Polygon2D(((0, 0), (1, 0), (1, 1), (0, 1)))
+    with pytest.raises(ValueError, match="overflow"):
+        extrude_prism(p, 1.0, 5e-324)
+
+
+def test_mesh_volume_matches_tetra_oracle():
+    rng = np.random.default_rng(55)
+    meshes = [extrude_prism(Polygon2D(((0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6))), 2.0, 1.5)]
+    while len(meshes) < 10:
+        p = star_polygon(rng, int(rng.integers(3, 16)), cx=20.0, cy=-5.0)
+        if p is not None:
+            meshes.append(extrude_prism(p, float(rng.uniform(0.5, 30.0)), 1.0))
+    for mesh in meshes:
+        assert mesh_volume(mesh) == pytest.approx(tetra_volume(mesh), rel=1e-12)
+        assert mesh_volume(mesh) > 0
+        inward = Mesh3D(mesh.vertices, tuple((i, k, j) for i, j, k in mesh.triangles))
+        assert mesh_volume(inward) == pytest.approx(-mesh_volume(mesh), rel=1e-12)
+    assert mesh_volume(meshes[0]) == pytest.approx(27.0 / 1.5**2 * 2.0, rel=1e-12)
+
+
 def test_mesh_validation():
     with pytest.raises(ValueError):
         Mesh3D(vertices=((0, 0, 0),), triangles=((0, 0, 1),))
@@ -298,6 +351,18 @@ def test_export_parse_export_byte_identical(tmp_path, int_scene_dataset):
     export_obj(result.meshes, p1)
     export_obj(parse_obj(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("v 0 0 0\n", "line 1: vertex before any object"),
+    ("# header\nf 1 2 3\n", "line 2: face before any object"),
+    ("o a\nv 0 0 0\nvn 0 0 1\n", "line 3: unsupported OBJ element 'vn'"),
+])
+def test_parse_obj_errors_name_the_line(tmp_path, text, message):
+    path = tmp_path / "bad.obj"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        parse_obj(path)
 
 
 def test_export_global_indexing(tmp_path):
@@ -392,6 +457,27 @@ def test_reconstruct_skips_and_reports():
         epsilon=0.0,
     )
     assert result.meshes == () and "height" in result.skipped[0].reason
+
+
+def test_reconstruct_skips_zero_height_failed_simplification_and_overflow():
+    square = [2, 2, 8, 2, 8, 8, 2, 8]
+    sliver = [0, 0, 10, 0, 5, 0.5]  # collapses to 2 vertices at epsilon 1
+    pose = {"tan_theta": 0.5, "phi": 0.0, "scale_s": 1.0}
+    d = dataset_from_json({"images": [
+        {"id": "a", "width": 16, "height": 16, "pose": pose, "instances": [
+            {"footprint": square, "height": 0},
+            {"footprint": sliver, "height": 5.0},
+            {"footprint": square, "height": 5.0},
+        ]},
+        {"id": "b", "width": 16, "height": 16, "pose": {**pose, "scale_s": 5e-324},
+         "instances": [{"footprint": square, "height": 5.0}]},
+    ]})
+    result = reconstruct_dataset(d, epsilon=1.0)
+    assert [name for name, _ in result.meshes] == ["a_002"]
+    reasons = [(sk.image_id, sk.instance_index, sk.reason) for sk in result.skipped]
+    assert reasons[0] == ("a", 0, "height 0.0 is not extrudable")
+    assert reasons[1][:2] == ("a", 1) and "collapse the polygon to 2 vertices" in reasons[1][2]
+    assert reasons[2][:2] == ("b", 0) and "overflow" in reasons[2][2]
 
 
 def test_reconstruct_ordering(int_scene_dataset):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from offnadir.dataset import SupervisionLevel, dataset_to_json, grade_sample, validate_consistency
 from offnadir.geometry import estimate_pose
 from offnadir.raster import rasterize_polygon
+from offnadir import synth
 from offnadir.synth import (
     SynthConfig,
     SynthesisError,
@@ -102,6 +104,28 @@ def test_rect_mask_area_equals_polygon_area(int_scene_dataset):
         for inst in r.instances:
             m = rasterize_polygon(inst.footprint, r.width, r.height)
             assert m.popcount() == polygon_area(inst.footprint)
+
+
+def _snap_by_scan(phi):
+    # reference: the closest of all primitive directions, shorter on ties
+    best = None
+    for a, b, ang in synth._DIRECTIONS:
+        d = abs(ang - phi) % (2.0 * math.pi)
+        key = (min(d, 2.0 * math.pi - d), a * a + b * b, ang)
+        if best is None or key < best[0]:
+            best = (key, a, b)
+    return best[1], best[2]
+
+
+def test_snap_direction_matches_scan():
+    angles = [ang for _, _, ang in synth._DIRECTIONS]
+    assert angles == sorted(angles) and len(angles) == 176
+    rng = random.Random(11)
+    random_phis = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(2000)]
+    wrapped = angles[1:] + [angles[0] + 2.0 * math.pi]
+    midpoints = [synth.normalize_angle((a + b) / 2.0) for a, b in zip(angles, wrapped)]
+    for phi in random_phis + angles + midpoints:
+        assert synth._snap_direction(phi) == _snap_by_scan(phi), phi
 
 
 def test_l_shape_family():
