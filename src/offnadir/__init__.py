@@ -43,6 +43,7 @@ from .raster import (
     BitMask,
     mask_to_rle,
     rasterize_polygon,
+    rasterize_polygons,
     rle_to_mask,
     round_half_away,
     translate_mask,

@@ -29,7 +29,7 @@ from .geometry import offset_from_pose, translate_polygon
 from .losses import ExternalLossInputs, LevelComponents, LossWeights, hybrid_loss, level_loss
 from .metrics import evaluate
 from .pseudobox import DEFAULT_EXPAND_RATIO, pseudo_bbox_level_h, pseudo_bbox_level_n
-from .raster import mask_to_rle, rasterize_polygon, translate_mask
+from .raster import mask_to_rle, rasterize_polygons, translate_mask
 from .reconstruct import DEFAULT_EPSILON_PX, export_obj, reconstruct_dataset
 from .synth import SynthesisError, config_from_json, degrade_dataset, generate_scenes
 
@@ -159,15 +159,21 @@ def _cmd_footprint(args) -> int:
         save_dataset(out, args.out)
         print(f"derived {derived} footprint(s), kept {kept} as-is", file=sys.stderr)
     else:
+        def roofs():
+            for r in dataset.records:
+                for k, inst in enumerate(r.instances):
+                    if inst.roof is None or inst.offset is None:
+                        raise DatasetError(
+                            f"image {r.image_id!r}, instance {k}: raster mode needs roof and offset"
+                        )
+                    yield inst.roof, r.width, r.height
+
+        # one stream over all roofs, consumed record by record
+        roof_masks = rasterize_polygons(roofs())
         images = []
         for r in dataset.records:
             insts = []
-            for k, inst in enumerate(r.instances):
-                if inst.roof is None or inst.offset is None:
-                    raise DatasetError(
-                        f"image {r.image_id!r}, instance {k}: raster mode needs roof and offset"
-                    )
-                roof_mask = rasterize_polygon(inst.roof, r.width, r.height)
+            for inst, roof_mask in zip(r.instances, roof_masks):
                 fp_mask = translate_mask(roof_mask, inst.offset)
                 insts.append(
                     {

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -149,12 +149,16 @@ class LevelComponents:
     external: ExternalLossInputs | None = None
 
     def __post_init__(self):
-        _check_nonnegative(self, ("l_f", "l_h", "l_ona", "l_ova"))
+        _check_nonnegative(self, _COMPONENTS)
 
     def require(self, level: SupervisionLevel, *names: str):
         for name in names:
             if getattr(self, name) is None:
                 raise ValueError(f"level {level.name} loss needs component {name!r}")
+
+
+# LevelComponents' scalar fields, in declaration order
+_COMPONENTS = tuple(f.name for f in fields(LevelComponents) if f.name != "external")
 
 
 def level_loss(

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
-from .dataset import Dataset, SampleRecord
+from .dataset import Dataset
 from .geometry import Polygon2D
-from .raster import BitMask, rasterize_polygon
+from .raster import BitMask, rasterize_polygons
 
 
 def mask_iou(a: BitMask, b: BitMask) -> float:
@@ -32,7 +33,7 @@ def mask_iou(a: BitMask, b: BitMask) -> float:
 def polygon_iou(a: Polygon2D, b: Polygon2D, grid) -> float:
     """IoU of two polygons rasterized on a (width, height) grid."""
     w, h = grid
-    return mask_iou(rasterize_polygon(a, w, h), rasterize_polygon(b, w, h))
+    return mask_iou(*rasterize_polygons(((a, w, h), (b, w, h))))
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,12 @@ class MatchResult:
         return len(self.unmatched_gts)
 
 
-def _footprint_masks(instances, grid):
-    w, h = grid
-    masks = []
+def _footprints(instances, width: int, height: int):
+    """(footprint, width, height) of each instance, for rasterize_polygons."""
     for inst in instances:
         if inst.footprint is None:
             raise ValueError("matching needs a footprint on every instance")
-        masks.append(rasterize_polygon(inst.footprint, w, h))
-    return masks
+        yield inst.footprint, width, height
 
 
 def _check_iou_threshold(iou_threshold) -> None:
@@ -81,8 +80,13 @@ def match_instances(preds, gts, iou_threshold: float = 0.5, grid=(512, 512)) -> 
     _check_iou_threshold(iou_threshold)
     preds = list(preds)
     gts = list(gts)
-    pred_masks = _footprint_masks(preds, grid)
-    gt_masks = _footprint_masks(gts, grid)
+    w, h = grid
+    masks = list(rasterize_polygons(chain(_footprints(preds, w, h), _footprints(gts, w, h))))
+    return _match_masks(preds, gts, masks[: len(preds)], masks[len(preds) :], iou_threshold)
+
+
+def _match_masks(preds, gts, pred_masks, gt_masks, iou_threshold: float) -> MatchResult:
+    """match_instances over the instances' footprint masks."""
     # only masks whose windows overlap can have a nonzero IoU; empty
     # windows sit at (0, 0, 0, 0) and so overlap nothing
     pw = np.array([m.window for m in pred_masks], dtype=np.int64).reshape(-1, 1, 4)
@@ -245,16 +249,6 @@ class EvalResult:
     per_image: dict
 
 
-def _match_record(pred: SampleRecord, gt: SampleRecord, iou_threshold: float):
-    if (pred.width, pred.height) != (gt.width, gt.height):
-        raise ValueError(
-            f"image {gt.image_id!r}: prediction grid {pred.width}x{pred.height} "
-            f"!= ground truth {gt.width}x{gt.height}"
-        )
-    grid = (gt.width, gt.height)
-    return match_instances(pred.instances, gt.instances, iou_threshold, grid)
-
-
 def _report(tp: int, fp: int, fn: int, offsets, heights, poses) -> EvalReport:
     """Report from detection counts and iterables of the (pred, gt) pairs
     of offsets, heights and image poses."""
@@ -302,10 +296,26 @@ def evaluate(
             f"unexpected in predictions {surplus[:5]}"
         )
     ids = sorted(gts)
-    matches = {
-        image_id: _match_record(preds[image_id], gts[image_id], iou_threshold)
-        for image_id in ids
-    }
+
+    def footprints():
+        for image_id in ids:
+            pred, gt = preds[image_id], gts[image_id]
+            if (pred.width, pred.height) != (gt.width, gt.height):
+                raise ValueError(
+                    f"image {image_id!r}: prediction grid {pred.width}x{pred.height} "
+                    f"!= ground truth {gt.width}x{gt.height}"
+                )
+            yield from _footprints(pred.instances, gt.width, gt.height)
+            yield from _footprints(gt.instances, gt.width, gt.height)
+
+    # one stream over all images, consumed image by image
+    masks = rasterize_polygons(footprints())
+    matches = {}
+    for image_id in ids:
+        p, g = preds[image_id].instances, gts[image_id].instances
+        pred_masks = list(islice(masks, len(p)))
+        gt_masks = list(islice(masks, len(g)))
+        matches[image_id] = _match_masks(p, g, pred_masks, gt_masks, iou_threshold)
 
     def report(image_ids):
         # one report over these images' matches, pairs and poses, in order

@@ -2,11 +2,18 @@
 
 Pixel (i, j) means column i, row j; its center sits at (i + 0.5, j + 0.5)
 in the polygon coordinate frame.
+
+rasterize_polygons streams polygons through numpy passes that each serve
+many polygons: windows, crossings, parities and boundary tests are
+computed for all polygons of a pass at once, with no Python loop per
+edge, within bounds on pixels and edge terms. rasterize_polygon is its
+one-polygon case.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -118,6 +125,19 @@ def round_half_away(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
+# Bounds on the memory of rasterize_polygons, so that it stays flat however
+# many polygons stream through: the edges of the polygons read ahead at
+# once, and the window pixels and edge terms (row crossings and boundary
+# candidates) of one numpy pass over some of them. A polygon over a pass
+# bound gets a pass of its own.
+_CHUNK_EDGES = 2**9
+_CHUNK_PIXELS = 2**15
+_CHUNK_TERMS = 2**12
+# window arithmetic is int64, so grid sizes are capped here: no pixel at or
+# beyond 2**62 is ever set (centers that far out are not exact floats anyway)
+_MAX_GRID = 2**62
+
+
 def rasterize_polygon(polygon: Polygon2D, width: int, height: int) -> BitMask:
     """Pixel-center even-odd rasterization.
 
@@ -126,46 +146,148 @@ def rasterize_polygon(polygon: Polygon2D, width: int, height: int) -> BitMask:
     Geometry outside the [0, width) x [0, height) grid is clipped. The
     result's window is the grid's pixel centers inside the polygon bbox.
     """
-    verts = polygon.as_array()
-    x_lo, y_lo = verts.min(axis=0)
-    x_hi, y_hi = verts.max(axis=0)
-    # only pixels whose centers fall inside the polygon bbox can be set
-    i0 = max(0, int(math.ceil(x_lo - 0.5)))
-    i1 = min(width - 1, int(math.floor(x_hi - 0.5)))
-    j0 = max(0, int(math.ceil(y_lo - 0.5)))
-    j1 = min(height - 1, int(math.floor(y_hi - 0.5)))
-    if i0 > i1 or j0 > j1:
-        return BitMask._window(width, height)
-    xs = np.arange(i0, i1 + 1) + 0.5
-    ys = np.arange(j0, j1 + 1) + 0.5
-    nr, nc = ys.size, xs.size
-    x1, y1 = verts.T
-    x2, y2 = np.concatenate((verts[1:], verts[:1])).T
+    return next(rasterize_polygons(((polygon, width, height),)))
+
+
+def rasterize_polygons(items):
+    """rasterize_polygon over an iterable of (polygon, width, height),
+    yielding one mask per item, in order, as it reads them.
+
+    Many polygons share each numpy pass, and bounded passes keep memory
+    flat however many items stream through. A mask does not depend on the
+    other items or on how they fall into passes, and it shares its pass's
+    buffer. Exact while pixel centers are exact floats (below 2**52).
+    """
+    items = iter(items)
+    while True:
+        rings, grids = [], []
+        edges = 0
+        for polygon, width, height in items:
+            rings.append(polygon.vertices)
+            grids.append((width, height))
+            edges += len(polygon.vertices)
+            if edges >= _CHUNK_EDGES:
+                break
+        if not rings:
+            return
+        yield from _rasterize_chunk(rings, grids, edges)
+
+
+def _centers_before(v, base, n, side):
+    """np.searchsorted(base + np.arange(n) + 0.5, v, side) for each v, with
+    its own base >= 0 and n. Exact for v up to 2**52: from 0 on, v - 0.5
+    rounds to a value with the same ceiling and floor, and below 0, which
+    the clip leaves only when base is 0, every count is 0."""
+    v = np.clip(v, base - 1.0, base + n + 1.0) - 0.5
+    t = np.ceil(v) if side == "left" else np.floor(v) + 1.0
+    return np.clip(t.astype(np.int64) - base, 0, n)
+
+
+def _runs(ids, first, n):
+    """(id, value) for each id and each value in first:first + n."""
+    rep = np.repeat(ids, n)
+    return rep, np.arange(rep.size) + np.repeat(first - (np.cumsum(n) - n), n)
+
+
+def _rasterize_chunk(rings, grids, n_edges):
+    counts = np.fromiter(map(len, rings), np.int64, len(rings))
+    verts = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), float, 2 * n_edges)
+    x1, y1 = verts.reshape(-1, 2).T
+    starts = np.cumsum(counts) - counts
+    nxt = np.arange(1, n_edges + 1)
+    nxt[starts + counts - 1] = starts  # each ring closes on its first vertex
+    x2, y2 = x1[nxt], y1[nxt]
+    # pixel windows: the grid's centers inside each polygon bbox
+    caps = np.array([(min(w, _MAX_GRID), min(h, _MAX_GRID)) for w, h in grids], np.int64).T
+    i0 = np.clip(np.ceil(np.minimum.reduceat(x1, starts) - 0.5), 0, caps[0]).astype(np.int64)
+    i1 = np.clip(np.floor(np.maximum.reduceat(x1, starts) - 0.5), -1, caps[0] - 1).astype(np.int64)
+    j0 = np.clip(np.ceil(np.minimum.reduceat(y1, starts) - 0.5), 0, caps[1]).astype(np.int64)
+    j1 = np.clip(np.floor(np.maximum.reduceat(y1, starts) - 0.5), -1, caps[1] - 1).astype(np.int64)
+    empty = (i0 > i1) | (j0 > j1)
+    nc = np.where(empty, 0, i1 - i0 + 1)
+    nr = np.where(empty, 0, j1 - j0 + 1)
+    # per edge: the rows r0:r1 it crosses (half-open in y, so horizontal
+    # edges cross none) and the centers r0:rb x c0:c1 of its closed bbox
+    poly = np.repeat(np.arange(len(rings)), counts)
     lo, hi = np.minimum(y1, y2), np.maximum(y1, y2)
-    # edge k crosses rows r0[k]:r1[k] (half-open span in y, so horizontal
-    # edges cross none); one entry per (edge, row) crossing
-    r0 = ys.searchsorted(lo, "left")
-    r1 = ys.searchsorted(hi, "left")
-    counts = r1 - r0
-    edge = np.repeat(np.arange(len(verts)), counts)
-    row = np.arange(edge.size) + np.repeat(r0 - (np.cumsum(counts) - counts), counts)
-    xc = x1[edge] + (ys[row] - y1[edge]) * (x2 - x1)[edge] / (y2 - y1)[edge]
-    # a ray cast toward +x from column c meets the crossings with xc > xs[c],
-    # i.e. those whose count of centers left of xc exceeds c
-    left = xs.searchsorted(xc, "left")
-    hits = np.bincount(row * (nc + 1) + left, minlength=nr * (nc + 1)).reshape(nr, nc + 1)
-    inside = (np.cumsum(hits[:, :0:-1], axis=1)[:, ::-1] & 1).astype(bool)
-    # boundary centers, searched only within each edge's own bbox
-    on_edge = np.zeros((nr, nc), dtype=bool)
-    c0 = xs.searchsorted(np.minimum(x1, x2), "left")
-    c1 = xs.searchsorted(np.maximum(x1, x2), "right")
-    rb = ys.searchsorted(hi, "right")
-    for k in np.flatnonzero((c0 < c1) & (r0 < rb)):
-        sx = xs[c0[k] : c1[k]]
-        sy = ys[r0[k] : rb[k]]
-        cross = (x2[k] - x1[k]) * (sy[:, None] - y1[k]) - (y2[k] - y1[k]) * (sx[None, :] - x1[k])
-        on_edge[r0[k] : rb[k], c0[k] : c1[k]] |= cross == 0.0
-    return BitMask._window(width, height, i0, j0, inside & ~on_edge)
+    r0 = _centers_before(lo, j0[poly], nr[poly], "left")
+    r1 = _centers_before(hi, j0[poly], nr[poly], "left")
+    rb = _centers_before(hi, j0[poly], nr[poly], "right")
+    c0 = _centers_before(np.minimum(x1, x2), i0[poly], nc[poly], "left")
+    c1 = _centers_before(np.maximum(x1, x2), i0[poly], nc[poly], "right")
+    # an edge's terms: a crossing per row, and its bbox rows and columns
+    # (the boundary test's candidates) when the bbox holds a center
+    boxed = (rb > r0) & (c1 > c0)
+    terms = (r1 - r0) + np.where(boxed, (rb - r0) + (c1 - c0), 0)
+    pixels = nr * nc
+    px_end = np.cumsum(pixels)
+    term_end = np.cumsum(np.add.reduceat(terms, starts))
+    a = 0
+    while a < len(rings):
+        # the most polygons from a on within both bounds, at least one
+        px_base = px_end[a - 1] if a else 0
+        term_base = term_end[a - 1] if a else 0
+        b = min(px_end.searchsorted(px_base + _CHUNK_PIXELS, "right"),
+                term_end.searchsorted(term_base + _CHUNK_TERMS, "right"))
+        b = max(int(b), a + 1)
+        e = slice(starts[a], starts[b - 1] + counts[b - 1])
+        offset = px_end[a:b] - pixels[a:b] - px_base
+        data = _pass(x1[e], y1[e], x2[e], y2[e], poly[e] - a, r0[e], r1[e], rb[e], c0[e], c1[e],
+                     boxed[e], i0[a:b], j0[a:b], nc[a:b], offset, int(px_end[b - 1] - px_base))
+        at = 0
+        for (width, height), x0, y0, h, w in zip(
+            grids[a:b], i0[a:b].tolist(), j0[a:b].tolist(), nr[a:b].tolist(), nc[a:b].tolist()
+        ):
+            if h:
+                yield BitMask._window(width, height, x0, y0, data[at : at + h * w].reshape(h, w))
+            else:
+                yield BitMask._window(width, height)
+            at += h * w
+        a = b
+
+
+def _pass(x1, y1, x2, y2, poly, r0, r1, rb, c0, c1, boxed, i0, j0, nc, offset, total):
+    """The window pixels of some polygons, row-major and concatenated, set
+    where the center is inside. Edge arrays come first; poly maps each edge
+    to its polygon, whose window starts at pixel offset of the result."""
+    dx, dy = x2 - x1, y2 - y1
+    # one entry per (edge, row) crossing, at the edge's x on the row center
+    edge, row = _runs(np.arange(r0.size), r0, r1 - r0)
+    p = poly[edge]
+    ys = (j0[p] + row) + 0.5
+    xc = x1[edge] + (ys - y1[edge]) * dx[edge] / dy[edge]
+    # A center is inside iff an odd number of crossings lies at or left of
+    # it, since every row of a ring is crossed an even number of times. So
+    # each crossing counts at its first center to the right: one right of a
+    # row's last center lands on the next row's first pixel, where it
+    # completes that row's even count, and one running parity over all
+    # windows needs no reset per row.
+    left = _centers_before(xc, i0[p], nc[p], "left")
+    hits = np.bincount(offset[p] + row * nc[p] + left, minlength=total + 1)[:total]
+    inside = np.logical_xor.accumulate(np.bitwise_and(hits, 1, out=hits).astype(bool))
+    # Boundary centers. Within an edge's closed bbox, a center is on the
+    # edge iff dx * (sy - y1) == dy * (sx - x1), the two products of the
+    # cross product that the loop over edges compared with 0. Both are
+    # taken sign-adjusted by dy, so that the column term never decreases
+    # along an edge's columns. Keyed (edge, term) as complex numbers, which
+    # numpy orders lexicographically, the column terms are then sorted, and
+    # each row term finds its equal column terms by binary search.
+    k = np.flatnonzero(boxed)
+    er, rr = _runs(k, r0[k], rb[k] - r0[k])
+    ec, cc = _runs(k, c0[k], c1[k] - c0[k])
+    pr, pc = poly[er], poly[ec]
+    key_a = np.empty(er.size, dtype=complex)
+    key_a.real = er
+    key_a.imag = dx[er] * (((j0[pr] + rr) + 0.5) - y1[er])
+    key_a.imag[dy[er] < 0] *= -1.0
+    key_b = np.empty(ec.size, dtype=complex)
+    key_b.real = ec
+    key_b.imag = np.abs(dy[ec]) * (((i0[pc] + cc) + 0.5) - x1[ec])
+    lo = key_b.searchsorted(key_a, "left")
+    hit, col = _runs(np.arange(er.size), lo, key_b.searchsorted(key_a, "right") - lo)
+    pr = pr[hit]
+    inside[offset[pr] + rr[hit] * nc[pr] + cc[col]] = False
+    return inside
 
 
 def translate_mask(m: BitMask, v: Vec2) -> BitMask:
@@ -216,14 +338,8 @@ def rle_to_mask(runs, width: int, height: int) -> BitMask:
     total = sum(runs)
     if total != width * height:
         raise ValueError(f"RLE length {total} != {width}x{height}")
-    flat = np.zeros(width * height, dtype=bool)
-    pos = 0
-    value = False
-    for r in runs:
-        if r < 0:
-            raise ValueError("RLE runs must be >= 0")
-        if value:
-            flat[pos : pos + r] = True
-        pos += r
-        value = not value
+    if len(runs) and min(runs) < 0:
+        raise ValueError("RLE runs must be >= 0")
+    # runs alternate between clear and set pixels, starting with clear
+    flat = np.repeat(np.arange(len(runs)) % 2 == 1, np.asarray(runs, dtype=np.int64))
     return BitMask(width, height, flat.reshape(height, width))

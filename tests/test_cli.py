@@ -2,11 +2,12 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
 from offnadir.cli import run
-from offnadir.dataset import load_dataset, validate_consistency
+from offnadir.dataset import load_dataset, save_dataset, validate_consistency
 from offnadir.geometry import Polygon2D
 from offnadir.losses import smooth_l1
 from offnadir.metrics import evaluate, match_instances
@@ -209,6 +210,22 @@ def test_footprint_cli_raster_mode(tmp_path, scene_path):
         for entry, inst in zip(img["instances"], rec.instances):
             mask = rle_to_mask(entry["rle"], entry["width"], entry["height"])
             assert mask == rasterize_polygon(inst.footprint, rec.width, rec.height)
+
+
+def test_footprint_cli_raster_mode_names_the_first_roofless_instance(tmp_path, scene_path, capsys):
+    d = load_dataset(scene_path)
+    records = list(d.records)
+    for r, k in ((1, 1), (2, 0)):
+        instances = list(records[r].instances)
+        instances[k] = replace(instances[k], roof=None, offset=None)
+        records[r] = replace(records[r], instances=tuple(instances))
+    stripped = tmp_path / "stripped.json"
+    save_dataset(replace(d, records=tuple(records)), stripped)
+    out = tmp_path / "fp_masks.json"
+    assert run(["footprint", "--in", str(stripped), "--out", str(out), "--mode", "raster"]) == 2
+    want = f"error: image {records[1].image_id!r}, instance 1: raster mode needs roof and offset\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
 
 
 def test_loss_cli(tmp_path, capsys):

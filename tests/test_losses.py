@@ -145,6 +145,13 @@ def test_level_loss_hand_values():
     assert level_loss(SupervisionLevel.H, h, w) == pytest.approx(3.9, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["l_f", "l_h", "l_ona", "l_ova"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, True])
+def test_level_components_reject_bad_values(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value!r}$"):
+        LevelComponents(**{name: value})
+
+
 def test_level_loss_missing_components():
     w = LossWeights()
     with pytest.raises(ValueError, match="l_f"):

@@ -273,6 +273,36 @@ def test_evaluate_rejects_mismatched_ids(int_scene_dataset):
         evaluate(missing, int_scene_dataset)
 
 
+def test_match_instances_needs_a_footprint_on_every_instance():
+    roofless = BuildingInstance(footprint=None, roof=square(0, 0, 4), offset=Vec2(1.0, 0.0))
+    full = inst(square(0, 0, 4))
+    for preds, gts in (([full, roofless], [full]), ([full], [full, roofless])):
+        with pytest.raises(ValueError, match="^matching needs a footprint on every instance$"):
+            match_instances(preds, gts, 0.5, (16, 16))
+
+
+def test_evaluate_reports_the_first_bad_image_in_id_order():
+    def record(image_id, width=32, footprint=True):
+        shape = square(2, 2, 4)
+        building = inst(shape) if footprint else BuildingInstance(
+            footprint=None, roof=shape, offset=Vec2(1.0, 0.0))
+        return SampleRecord(image_id=image_id, width=width, height=32,
+                            instances=(inst(square(20, 20, 4)), building))
+
+    gt = Dataset(records=tuple(record(i) for i in "dbca"))
+    # 'b' and 'c' have the wrong grid and 'd' lacks a footprint: 'b' comes first
+    pred = Dataset(records=(record("d", footprint=False), record("b", 40), record("c", 24),
+                            record("a")))
+    with pytest.raises(ValueError, match=r"^image 'b': prediction grid 40x32 != ground truth 32x32$"):
+        evaluate(pred, gt)
+    # a missing footprint in an earlier image comes before a bad grid
+    pred = Dataset(records=(record("d"), record("b", 40), record("c"), record("a", footprint=False)))
+    with pytest.raises(ValueError, match="^matching needs a footprint on every instance$"):
+        evaluate(pred, gt)
+    with pytest.raises(ValueError, match="^matching needs a footprint on every instance$"):
+        evaluate(gt, pred)
+
+
 def test_evaluate_partial_annotations_counted():
     g = SampleRecord(
         image_id="a",

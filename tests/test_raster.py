@@ -5,12 +5,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from offnadir import raster
 from offnadir.geometry import Polygon2D, Vec2
 from offnadir.metrics import mask_iou
 from offnadir.raster import (
     BitMask,
     mask_to_rle,
     rasterize_polygon,
+    rasterize_polygons,
     rle_to_mask,
     round_half_away,
     translate_mask,
@@ -49,15 +51,26 @@ def brute_force_raster(polygon, w, h):
     return BitMask(w, h, data)
 
 
-def full_grid_raster(polygon, w, h):
-    """The full-grid per-edge loop rasterize_polygon replaced: the same
-    float expressions over every pixel center of the polygon's bbox."""
-    data = np.zeros((h, w), dtype=bool)
+def center_window(polygon, w, h):
+    """(x0, y0, x1, y1): the grid's pixel centers inside the polygon bbox,
+    or (0, 0, 0, 0) when there are none."""
     verts = polygon.as_array()
     i0 = max(0, math.ceil(verts[:, 0].min() - 0.5))
     i1 = min(w - 1, math.floor(verts[:, 0].max() - 0.5))
     j0 = max(0, math.ceil(verts[:, 1].min() - 0.5))
     j1 = min(h - 1, math.floor(verts[:, 1].max() - 0.5))
+    if i0 > i1 or j0 > j1:
+        return 0, 0, 0, 0
+    return i0, j0, i1 + 1, j1 + 1
+
+
+def full_grid_raster(polygon, w, h):
+    """The full-grid per-edge loop rasterize_polygon replaced: the same
+    float expressions over every pixel center of the polygon's bbox."""
+    data = np.zeros((h, w), dtype=bool)
+    verts = polygon.as_array()
+    i0, j0, i1, j1 = center_window(polygon, w, h)
+    i1, j1 = i1 - 1, j1 - 1
     if i0 > i1 or j0 > j1:
         return BitMask(w, h, data)
     xs = np.arange(i0, i1 + 1) + 0.5
@@ -224,6 +237,18 @@ def test_rle_roundtrip_and_known_values():
         rle_to_mask([3], 2, 2)
 
 
+def test_rle_to_mask_checks_length_before_signs():
+    with pytest.raises(ValueError, match=r"^RLE length 3 != 2x2$"):
+        rle_to_mask([3], 2, 2)
+    with pytest.raises(ValueError, match=r"^RLE length 1 != 2x2$"):
+        rle_to_mask([-1, 2], 2, 2)
+    with pytest.raises(ValueError, match=r"^RLE runs must be >= 0$"):
+        rle_to_mask([5, -1], 2, 2)
+    assert rle_to_mask([0, 4], 2, 2) == BitMask(2, 2, np.ones((2, 2), dtype=bool))
+    empty = rle_to_mask([], 0, 3)
+    assert (empty.width, empty.height, empty.popcount()) == (0, 3, 0)
+
+
 def test_window_rle_merges_runs_across_rows():
     full = BitMask(5, 4, np.ones((4, 5), dtype=bool))
     down = translate_mask(full, Vec2(0.0, 1.0))
@@ -243,6 +268,30 @@ def test_rle_on_huge_grids():
     assert mask_to_rle(corner) == [first, 3, n - 2, 2, n - 1, 1, n]
     with pytest.raises(ValueError, match="too large"):
         mask_to_rle(rasterize_polygon(triangle, 2**32, 2**32))
+
+
+def test_center_counts_match_searchsorted_at_float_edges():
+    # values on, just beside and between pixel centers, tiny negatives
+    # (where v - 0.5 rounds) and values far outside every window
+    near = [x for k in range(-3, 40) for c in (k + 0.5, float(k))
+            for x in (c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf))]
+    v = np.array(near + [-0.5 + 2**-54, -(2**-60), 2**-60, -1e300, 1e300, 2.0**52 - 0.5]
+                 + list(np.random.default_rng(107).uniform(-5, 45, 500)))
+    for base in (0, 1, 7):
+        for n in (0, 1, 5, 30):
+            centers = base + np.arange(n) + 0.5
+            for side in ("left", "right"):
+                got = raster._centers_before(v, np.full(v.size, base), np.full(v.size, n), side)
+                assert np.array_equal(got, np.searchsorted(centers, v, side))
+
+
+def test_rasterize_on_grids_beyond_int64():
+    triangle = Polygon2D(((0, 0), (4, 0), (4, 4)))
+    small = rasterize_polygon(triangle, 8, 8)
+    for n in (2**62, 2**63, 10**30):
+        m = rasterize_polygon(triangle, n, n)
+        assert (m.width, m.height, m.window) == (n, n, small.window)
+        assert np.array_equal(m.data, small.data)
 
 
 def test_window_masks_compare_and_densify():
@@ -370,6 +419,51 @@ def float_polygons(draw):
 def test_window_raster_matches_full_grid_loop(case):
     polygon, w, h = case
     assert np.array_equal(rasterize_polygon(polygon, w, h).dense(), full_grid_raster(polygon, w, h).data)
+
+
+@st.composite
+def many_vertex_polygons(draw):
+    """(polygon, width, height): star-shaped float rings of 3 to 64
+    vertices, from sub-pixel to larger than the grid."""
+    w = draw(st.integers(1, 24))
+    h = draw(st.integers(1, 24))
+    n = draw(st.integers(3, 64))
+    steps = sorted(draw(st.lists(st.integers(0, 63), min_size=n, max_size=n, unique=True)))
+    r_max = draw(st.sampled_from([0.5, 4.0, 32.0]))
+    radii = draw(st.lists(st.floats(0.05, r_max), min_size=n, max_size=n))
+    cx = draw(st.floats(-8.0, w + 8.0))
+    cy = draw(st.floats(-8.0, h + 8.0))
+    pts = [(cx + r * math.cos(2.0 * math.pi * k / 64), cy + r * math.sin(2.0 * math.pi * k / 64))
+           for k, r in zip(steps, radii)]
+    try:
+        polygon = Polygon2D(tuple(pts))
+    except ValueError:
+        assume(False)
+    return polygon, w, h
+
+
+CHUNK_BOUNDS = {
+    "default": {},
+    "one": {"_CHUNK_EDGES": 1, "_CHUNK_PIXELS": 1, "_CHUNK_TERMS": 1},
+    "mixed": {"_CHUNK_EDGES": 40, "_CHUNK_PIXELS": 150, "_CHUNK_TERMS": 60},
+}
+
+
+@pytest.mark.parametrize("bounds", list(CHUNK_BOUNDS))
+@settings(PROPERTIES, suppress_health_check=[
+    HealthCheck.filter_too_much, HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.lists(grid_polygons() | float_polygons() | many_vertex_polygons(), min_size=1, max_size=8))
+def test_batched_raster_matches_full_grid_loop(monkeypatch, bounds, batch):
+    # mixed vertex counts and grid sizes in one call; "one" gives every
+    # polygon its own read-ahead and pass, "mixed" splits passes mid-batch
+    for name, value in CHUNK_BOUNDS[bounds].items():
+        monkeypatch.setattr(raster, name, value)
+    masks = list(rasterize_polygons(batch))
+    assert len(masks) == len(batch)
+    for m, (polygon, w, h) in zip(masks, batch):
+        assert (m.width, m.height) == (w, h)
+        assert m.window == center_window(polygon, w, h)
+        assert np.array_equal(m.dense(), full_grid_raster(polygon, w, h).data)
 
 
 @PROPERTIES
