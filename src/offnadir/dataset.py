@@ -24,7 +24,9 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 
-from .geometry import ImagePose, Polygon2D, Vec2, _canonical_ring, _first_non_simple
+from .geometry import (
+    _BATCH_EDGES, ImagePose, Polygon2D, Vec2, _canonical_ring, _first_non_simple,
+)
 
 ROOF_OFFSET_TOL_PX = 1e-6
 
@@ -216,9 +218,37 @@ def _parse(where: str, parse, value):
         raise DatasetError(f"{where}: {e}") from e
 
 
-def _flat_to_polygon(values, where: str, unchecked: list) -> Polygon2D:
+class _PendingRings:
+    """Rings whose simplicity check is deferred, in document order.
+
+    They are checked together once they reach _BATCH_EDGES edges (one
+    kernel chunk), so a non-simple ring raises before much after it is
+    parsed, and the rings held stay bounded.
+    """
+
+    def __init__(self):
+        self.rings, self.wheres, self.edges = [], [], 0
+
+    def add(self, verts: tuple, where: str) -> None:
+        self.rings.append(verts)
+        self.wheres.append(where)
+        self.edges += len(verts)
+        if self.edges >= _BATCH_EDGES:
+            self.check()
+
+    def check(self) -> None:
+        """Raise the DatasetError of the first non-simple pending ring."""
+        rings, wheres = self.rings, self.wheres
+        self.rings, self.wheres, self.edges = [], [], 0
+        found = _first_non_simple(rings)
+        if found is not None:
+            index, message = found
+            raise DatasetError(f"{wheres[index]}: {message}") from None
+
+
+def _flat_to_polygon(values, where: str, pending: _PendingRings) -> Polygon2D:
     """Polygon over canonical vertices; its simplicity check is deferred by
-    appending (vertices, where) to unchecked (see dataset_from_json)."""
+    adding it to pending (see dataset_from_json)."""
     if not isinstance(values, (list, tuple)):
         raise DatasetError(f"{where}: polygon must be a flat coordinate list")
     if len(values) % 2 != 0 or len(values) < 6:
@@ -228,7 +258,7 @@ def _flat_to_polygon(values, where: str, unchecked: list) -> Polygon2D:
     verts = _number(
         where, "coordinate", lambda v: _canonical_ring(zip(v[0::2], v[1::2])), values
     )
-    unchecked.append((verts, where))
+    pending.add(verts, where)
     return Polygon2D._trusted(verts)
 
 
@@ -240,7 +270,7 @@ def _polygon_to_flat(p: Polygon2D) -> list:
     return flat
 
 
-def _instance_from_json(obj, where: str, unchecked: list) -> BuildingInstance:
+def _instance_from_json(obj, where: str, pending: _PendingRings) -> BuildingInstance:
     if not isinstance(obj, dict):
         raise DatasetError(f"{where}: instance must be an object")
     obj = dict(obj)
@@ -253,8 +283,8 @@ def _instance_from_json(obj, where: str, unchecked: list) -> BuildingInstance:
         if not (isinstance(offset, (list, tuple)) and len(offset) == 2):
             raise DatasetError(f"{where}: offset must be a [dx, dy] pair")
         offset = _number(where, "offset", lambda xy: Vec2(*map(float, xy)), offset)
-    footprint = None if footprint is None else _flat_to_polygon(footprint, where, unchecked)
-    roof = None if roof is None else _flat_to_polygon(roof, where + " (roof)", unchecked)
+    footprint = None if footprint is None else _flat_to_polygon(footprint, where, pending)
+    roof = None if roof is None else _flat_to_polygon(roof, where + " (roof)", pending)
     height = None if height is None else _number(where, "height", float, height)
     score = None if score is None else _number(where, "score", float, score)
     try:
@@ -286,7 +316,7 @@ def _instance_to_json(inst: BuildingInstance) -> dict:
     return out
 
 
-def _record_from_json(obj, index: int, unchecked: list) -> SampleRecord:
+def _record_from_json(obj, index: int, pending: _PendingRings) -> SampleRecord:
     if not isinstance(obj, dict):
         raise DatasetError(f"images[{index}] must be an object")
     obj = dict(obj)
@@ -320,7 +350,7 @@ def _record_from_json(obj, index: int, unchecked: list) -> SampleRecord:
     if not isinstance(instances, list):
         raise DatasetError(f"{where}: instances must be an array")
     instances = [
-        _instance_from_json(o, f"{where}, instance {k}", unchecked)
+        _instance_from_json(o, f"{where}, instance {k}", pending)
         for k, o in enumerate(instances)
     ]
     return SampleRecord(
@@ -366,26 +396,18 @@ def dataset_from_json(obj) -> Dataset:
     if not isinstance(metadata, dict):
         raise DatasetError('"metadata" must be an object')
     # Rings are canonicalized in document order and checked for simplicity
-    # together at the end. A non-simple ring would have stopped loading
-    # before anything after it was parsed, so when a later error occurs the
-    # rings collected before it are checked first and the earliest one wins.
-    unchecked = []
+    # in batches (_PendingRings). A non-simple ring would have stopped
+    # loading before anything after it was parsed, so when a later error
+    # occurs the rings still pending are checked first and the earliest wins.
+    pending = _PendingRings()
     try:
-        records = [_record_from_json(o, k, unchecked) for k, o in enumerate(images)]
+        records = [_record_from_json(o, k, pending) for k, o in enumerate(images)]
         dataset = Dataset(records=tuple(records), metadata=metadata, extra=obj)
     except DatasetError:
-        _check_rings(unchecked)
+        pending.check()
         raise
-    _check_rings(unchecked)
+    pending.check()
     return dataset
-
-
-def _check_rings(unchecked: list) -> None:
-    """Raise the DatasetError of the first non-simple (vertices, where) ring."""
-    found = _first_non_simple([verts for verts, _ in unchecked])
-    if found is not None:
-        index, message = found
-        raise DatasetError(f"{unchecked[index][1]}: {message}") from None
 
 
 def _read_json(path):

@@ -209,11 +209,19 @@ def _check_simple(verts) -> None:
 
     Non-adjacent edges must not touch; adjacent edges must not fold back
     onto each other. Edge pairs are visited in row-major (i, j) order and
-    the first violation sets the message.
+    the first violation sets the message. Edges whose closed bboxes are
+    disjoint cannot touch and are not tested, as in _first_violation, so a
+    rounding error in the orientations cannot make them cross.
     """
     n = len(verts)
+    boxes = []
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        lx, hx = (ax, bx) if ax <= bx else (bx, ax)
+        ly, hy = (ay, by) if ay <= by else (by, ay)
+        boxes.append((lx, hx, ly, hy))
     for i in range(n):
         a1, a2 = verts[i], verts[(i + 1) % n]
+        lxa, hxa, lya, hya = boxes[i]
         for j in range(i + 1, n):
             b1, b2 = verts[j], verts[(j + 1) % n]
             if j == i + 1:
@@ -225,78 +233,129 @@ def _check_simple(verts) -> None:
                 # share a1 == b2
                 if _on_segment(b1, a1, a2) or _on_segment(a2, b1, b2):
                     raise ValueError("polygon is not simple (edge fold-back)")
-            elif _segments_intersect(a1, a2, b1, b2):
-                raise ValueError("polygon is not simple (self-intersection)")
+            else:
+                lxb, hxb, lyb, hyb = boxes[j]
+                if hxa < lxb or hxb < lxa or hya < lyb or hyb < lya:
+                    continue
+                if _segments_intersect(a1, a2, b1, b2):
+                    raise ValueError("polygon is not simple (self-intersection)")
 
 
-# From this many vertices on, a single polygon is checked by the broadcast
-# kernel rather than the edge-pair loop; below it numpy's per-call overhead
-# dominates (measured crossover between 12 and 16 vertices on a 2-vCPU
-# x86-64 VM, numpy 2.4, CPython 3.11).
+# From this many vertices on, a single polygon is checked by the kernel
+# rather than the edge-pair loop. Measured per call (medians of 9 x 50
+# calls; 2-vCPU x86-64 VM, numpy 2.4, CPython 3.11): the kernel costs
+# 120-300 us at 12-64 vertices whatever the shape. The loop costs 50 us on a
+# 16-vertex circle or star, where most bboxes are disjoint, and stays faster
+# up to 40-48 vertices there; but on a zigzag whose edge bboxes all overlap
+# it costs 180-200 us at 16 vertices and grows as n**2 (3 ms at 64). The
+# threshold is where that worst case meets the kernel.
 _BROADCAST_MIN_VERTICES = 16
 
-# Edge pairs per kernel call when many rings are checked together: each
-# (m, n, n) float temporary then takes at most 64 KB, and with numpy's
-# ufunc buffers the kernel's peak stays near 0.4 MB (tracemalloc, 6-vertex
-# rings). Larger batches were no faster.
-_BATCH_PAIRS = 8192
+# Bounds of one kernel pass, each also a bound on its memory. A pass builds
+# the bbox-overlap mask of at most _BATCH_PAIRS edge pairs over at most
+# _BATCH_EDGES edges (blocks of rows for a single larger ring), then runs the
+# float tests on at most _BATCH_CANDIDATES of the pairs it keeps. Measured on
+# the seed-1 benchmark ground truths (same VM): 2**16 pairs check the
+# 64-vertex `stars` rings 16 to a pass with a 0.56 MB tracemalloc peak;
+# 2**17 was faster still, but doubled that peak. Capping edges at 2**11
+# keeps 4-6-vertex rings (`city`, `tiles`) at a 0.53 MB peak; 2**10 gave
+# 0.30 MB but was 13% slower.
+_BATCH_PAIRS = 2**16
+_BATCH_EDGES = 2**11
+# A zigzag ring can make every pair a candidate: at 2**12 per pass, a
+# 2000-vertex one takes 0.8 s with a 2.2 MB tracemalloc peak.
+_BATCH_CANDIDATES = 2**12
 
 
-def _check_simple_broadcast(p: np.ndarray) -> np.ndarray:
-    """_check_simple over all edge pairs of m rings of n vertices at once.
+def _first_violation(p: np.ndarray):
+    """_check_simple's first violation among m rings of n vertices, or None.
 
-    ``p`` has shape (m, n, 2). Returns, per ring, the row-major index
-    i * n + j of its first violating edge pair (i, j), or -1 if the ring
-    is simple. Edge k runs from P[k] to Q[k] = P[(k + 1) % n]. Entry
-    [r, i, j] of ``d1`` is _orient(P[j], Q[j], P[i]) and of ``d2`` is
-    _orient(P[j], Q[j], Q[i]) for ring r, with _orient's operand order, so
-    every value equals the loop's bit for bit. _segments_intersect's d3
-    and d4 for pair (i, j) are then d1[r, j, i] and d2[r, j, i], and each
-    _on_segment cross product it or the fold-back tests evaluate is one
-    of d1..d4.
+    ``p`` has shape (m, n, 2). Returns (r, i * n + j) for the first ring r
+    that is not simple and its first violating edge pair (i, j) in
+    row-major order. Edge k runs from P[k] to Q[k] = P[(k + 1) % n]. Each
+    orientation is _orient's, with its operand order, so every value equals
+    the loop's bit for bit, and each _on_segment cross product the loop
+    evaluates is one of them.
     """
     m, n, _ = p.shape
-    q = np.concatenate((p[:, 1:], p[:, :1]), axis=1)
-    x, y = p[..., 0], p[..., 1]
-    qx, qy = q[..., 0], q[..., 1]
-    # axis 1 indexes i (the tested edge), axis 2 indexes j (the reference)
-    xj, yj = x[:, None, :], y[:, None, :]
-    ex, ey = (qx - x)[:, None, :], (qy - y)[:, None, :]
-    d1 = ex * (y[:, :, None] - yj)
-    d1 -= ey * (x[:, :, None] - xj)
-    d2 = ex * (qy[:, :, None] - yj)
-    d2 -= ey * (qx[:, :, None] - xj)
-    lo, hi = np.minimum(p, q), np.maximum(p, q)
-    lox, hix = lo[:, None, :, 0], hi[:, None, :, 0]
-    loy, hiy = lo[:, None, :, 1], hi[:, None, :, 1]
+    # x and y planes of vertices 0..n + 1 (mod n): edge k runs from
+    # ext[:, :, k] to ext[:, :, k + 1]
+    xy = np.ascontiguousarray(p.transpose(2, 0, 1))
+    ext = np.concatenate((xy, xy[:, :, :2]), axis=2)
+    lo, hi = np.minimum(ext[:, :, :-1], ext[:, :, 1:]), np.maximum(ext[:, :, :-1], ext[:, :, 1:])
+    (x, y), (qx, qy), (rx, ry) = ext[:, :, :n], ext[:, :, 1:n + 1], ext[:, :, 2:]
+    (lox, loy), (hix, hiy) = lo[:, :, :n], hi[:, :, :n]
+    # Pairs that share a vertex are only tested for fold-back: edge i with
+    # edge k = i + 1 (mod n), where i = n - 1 is the closing pair (0, n - 1).
+    # P[i] on edge k, or Q[k] = (rx, ry) on edge i.
+    (klox, kloy), (khix, khiy) = lo[:, :, 1:], hi[:, :, 1:]
+    fold = ((rx - qx) * (y - qy) - (ry - qy) * (x - qx) == 0.0)
+    fold &= (klox <= x) & (x <= khix) & (kloy <= y) & (y <= khiy)
+    fold |= (((qx - x) * (ry - y) - (qy - y) * (rx - x) == 0.0)
+             & (lox <= rx) & (rx <= hix) & (loy <= ry) & (ry <= hiy))
+    pair = np.arange(n) * (n + 1) + 1  # row-major index of (i, i + 1)
+    pair[-1] = n - 1
+    first = np.where(fold, pair, n * n).min(axis=1)
+    crossing = _first_crossing(x, y, qx, qy, lox, hix, loy, hiy)
+    if crossing is not None:
+        r, k = crossing
+        first[r] = min(first[r], k)
+    bad = np.flatnonzero(first < n * n)
+    return (int(bad[0]), int(first[bad[0]])) if bad.size else None
 
-    def on_edge_j(px, py, d):
-        # [r, i, j]: (px[r, i], py[r, i]) is collinear with edge j (d == 0)
-        # and lies in its bbox
-        px, py = px[:, :, None], py[:, :, None]
-        return (d == 0.0) & (lox <= px) & (px <= hix) & (loy <= py) & (py <= hiy)
 
-    # t1 / t2: P[i] / Q[i] lies on edge j
-    t1 = on_edge_j(x, y, d1)
-    t2 = on_edge_j(qx, qy, d2)
-    # edge i's endpoints lie strictly on both sides of edge j's line
-    straddle = ((d1 > 0.0) & (d2 < 0.0)) | ((d1 < 0.0) & (d2 > 0.0))
-    del d1, d2
-    touch = t1 | t2
-    bad = straddle & straddle.transpose(0, 2, 1)
-    del straddle
-    bad |= touch
-    bad |= touch.transpose(0, 2, 1)
-    del touch
-    # only pairs i < j count; adjacent pairs (i, i + 1), flat index
-    # i * (n + 1) + 1, and the closing pair (0, n - 1) share a vertex and
-    # are only tested for fold-back
-    bad = np.triu(bad, 1).reshape(m, n * n)
-    bad[:, 1::n + 1] = np.diagonal(t1, 1, 1, 2) | np.diagonal(t2, -1, 1, 2)
-    bad[:, n - 1] = t1[:, n - 1, 0] | t2[:, 0, n - 1]
-    first = bad.argmax(axis=1)
-    first[~bad[np.arange(m), first]] = -1
-    return first
+def _first_crossing(x, y, qx, qy, lox, hix, loy, hiy):
+    """First (r, i * n + j) at which edges i and j of ring r touch, over
+    pairs that share no vertex, or None; arguments are (m, n) planes.
+
+    Edges whose closed bboxes are disjoint cannot touch, so only the pairs
+    whose bboxes overlap are tested. A single ring's mask is built in
+    blocks of rows of i, in order, of at most about _BATCH_PAIRS pairs;
+    several rings take one mask, which the caller bounds.
+    """
+    m, n = x.shape
+    edges = np.stack((x, y, qx, qy, qx - x, qy - y, lox, hix, loy, hiy)).reshape(10, m * n)
+    columns = np.arange(n)
+    i0 = 0
+    while i0 < n - 1:
+        # rows i0..i1 - 1 against columns j > i0
+        i1 = n if m > 1 else i0 + max(1, _BATCH_PAIRS // (n - i0))
+        rows, cols = slice(i0, i1), slice(i0 + 1, n)
+        mask = columns[rows, None] + 1 < columns[cols]
+        if i0 == 0:
+            mask[0, -1] = False  # the closing pair
+        mask = mask & (lox[:, rows, None] <= hix[:, None, cols])
+        mask &= lox[:, None, cols] <= hix[:, rows, None]
+        mask &= loy[:, rows, None] <= hiy[:, None, cols]
+        mask &= loy[:, None, cols] <= hiy[:, rows, None]
+        # row-major, so in order of (r, i, j); with one ring or one block,
+        # row + i0 is the flat index r * n + i of edge i
+        candidates = np.flatnonzero(mask)
+        for s in range(0, candidates.size, _BATCH_CANDIDATES):
+            row, col = np.divmod(candidates[s:s + _BATCH_CANDIDATES], n - i0 - 1)
+            ki = row + i0
+            i = ki % n
+            j = col + (i0 + 1)
+            px, py, qix, qiy, exi, eyi, lxi, hxi, lyi, hyi = edges[:, ki]
+            sx, sy, tx, ty, exj, eyj, lxj, hxj, lyj, hyj = edges[:, ki + (j - i)]
+            # _segments_intersect's d1..d4
+            d1 = exj * (py - sy) - eyj * (px - sx)
+            d2 = exj * (qiy - sy) - eyj * (qix - sx)
+            d3 = exi * (sy - py) - eyi * (sx - px)
+            d4 = exi * (ty - py) - eyi * (tx - px)
+            # each edge's endpoints lie strictly on both sides of the other's line
+            bad = (np.sign(d1) * np.sign(d2) < 0.0) & (np.sign(d3) * np.sign(d4) < 0.0)
+            # P[i] / Q[i] lies on edge j, P[j] / Q[j] on edge i
+            bad |= (d1 == 0.0) & (lxj <= px) & (px <= hxj) & (lyj <= py) & (py <= hyj)
+            bad |= (d2 == 0.0) & (lxj <= qix) & (qix <= hxj) & (lyj <= qiy) & (qiy <= hyj)
+            bad |= (d3 == 0.0) & (lxi <= sx) & (sx <= hxi) & (lyi <= sy) & (sy <= hyi)
+            bad |= (d4 == 0.0) & (lxi <= tx) & (tx <= hxi) & (lyi <= ty) & (ty <= hyi)
+            hits = np.flatnonzero(bad)
+            if hits.size:
+                h = hits[0]
+                return int(ki[h] // n), int(i[h] * n + j[h])
+        i0 = i1
+    return None
 
 
 def _simplicity_message(n: int, first: int) -> str:
@@ -312,24 +371,23 @@ def _first_non_simple(rings):
 
     ``rings`` is a sequence of canonical vertex tuples (_canonical_ring's
     results). Rings of equal vertex count go through the kernel together,
-    at most _BATCH_PAIRS edge pairs (and at least one ring) per call; each
-    verdict and message is the one Polygon2D would give the ring alone.
+    at most _BATCH_PAIRS edge pairs and _BATCH_EDGES edges (and at least
+    one ring) per call; each verdict and message is the one Polygon2D
+    would give the ring alone.
     """
     groups = {}
     for index, verts in enumerate(rings):
         groups.setdefault(len(verts), []).append(index)
     found = []
     for n, indices in groups.items():
-        step = max(1, _BATCH_PAIRS // (n * n))
+        step = max(1, min(_BATCH_PAIRS // (n * n), _BATCH_EDGES // n))
         for s in range(0, len(indices), step):
             chunk = indices[s:s + step]
             flat = chain.from_iterable(chain.from_iterable(rings[i] for i in chunk))
             p = np.fromiter(flat, float, len(chunk) * n * 2).reshape(len(chunk), n, 2)
-            first = _check_simple_broadcast(p)
-            hits = np.flatnonzero(first >= 0)
-            if hits.size:
-                r = int(hits[0])
-                found.append((chunk[r], _simplicity_message(n, int(first[r]))))
+            hit = _first_violation(p)
+            if hit is not None:
+                found.append((chunk[hit[0]], _simplicity_message(n, hit[1])))
                 break  # later chunks of this group come later in rings
     return min(found, default=None)
 

@@ -177,6 +177,31 @@ def test_pbc_cli(tmp_path, scene_path):
             assert box == [min(xs), min(ys), max(xs), max(ys)]
 
 
+_SQUARE = [4, 4, 12, 4, 12, 12, 4, 12]
+
+
+@pytest.mark.parametrize(
+    "image, level, message",
+    [
+        ({"instances": [{"roof": _SQUARE, "offset": [1.0, 1.0]}]}, "n",
+         "image 'a', instance 0: footprint required"),
+        ({"instances": [{"footprint": _SQUARE, "height": 5.0}]}, "h",
+         "image 'a': pose required for level h"),
+        ({"pose": {"tan_theta": 0.5, "phi": 0.0, "scale_s": 1.0},
+          "instances": [{"footprint": _SQUARE, "height": 5.0}, {"footprint": _SQUARE}]}, "h",
+         "image 'a', instance 1: height required for level h"),
+    ],
+    ids=["footprint", "pose", "height"],
+)
+def test_pbc_cli_names_the_missing_input(tmp_path, capsys, image, level, message):
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"images": [{"id": "a", "width": 32, "height": 32, **image}]}))
+    out = tmp_path / "pbc.json"
+    assert run(["pbc", "--in", str(data), "--out", str(out), "--level", level]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_footprint_cli_polygon_mode(tmp_path, scene_path):
     out = tmp_path / "fp.json"
     assert run(["footprint", "--in", str(scene_path), "--out", str(out)]) == 0
@@ -370,9 +395,16 @@ def test_unreadable_json_input_exits_2_naming_the_file(tmp_path, capsys, command
         ([{"l_f": 0.5}], None, r"error: sample 0: level must be .*, got None"),
         (GOOD_COMPONENTS, {"gamma": 1.0}, r"error: weights file .*w.json: unknown .*'gamma'"),
         ({"level": "N"}, None, r"error: components file .*components.json: must be a JSON array"),
+        (GOOD_COMPONENTS + [{"level": "N", "l_f": 0.5, "l_zz": 1.0}], None,
+         r"^error: sample 1: unknown component keys \['l_zz'\]$"),
+        (GOOD_COMPONENTS + [{"level": "H", "l_f": 0.5}], None,
+         r"^error: sample 1: level H loss needs component 'l_h'$"),
+        ([{"level": "N", "l_f": -1.0}], None,
+         r"^error: sample 0: l_f must be finite and >= 0, got -1.0$"),
     ],
     ids=["component-true", "component-string", "external-true", "weight-true", "weight-list",
-         "weight-negative", "level-list", "level-missing", "weight-unknown", "not-an-array"],
+         "weight-negative", "level-list", "level-missing", "weight-unknown", "not-an-array",
+         "component-unknown", "component-missing", "component-negative"],
 )
 def test_loss_cli_errors_name_the_sample_weight_or_file(
     tmp_path, capsys, components, weights, message

@@ -486,6 +486,33 @@ def test_batched_simplicity_check_matches_per_polygon_loading(batch_pairs, monke
     assert preempted >= 50
 
 
+def test_loader_checks_pending_rings_a_kernel_chunk_at_a_time(monkeypatch):
+    from offnadir import dataset, geometry
+
+    checked = []
+
+    def first_non_simple(rings):
+        checked.append(sum(map(len, rings)))
+        return geometry._first_non_simple(rings)
+
+    monkeypatch.setattr(dataset, "_first_non_simple", first_non_simple)
+    square = [1, 1, 9, 1, 9, 9, 1, 9]
+    bowtie = [1, 1, 9, 9, 9, 1, 1, 5]
+    images = [{"id": f"img-{i}", "width": 32, "height": 32,
+               "instances": [{"footprint": square}] * 10} for i in range(100)]
+    dataset_from_json({"images": images})
+    # 1000 squares of 4 edges: one check per 2**11 edges, then the rest
+    assert checked == [geometry._BATCH_EDGES, 4000 - geometry._BATCH_EDGES]
+    # a non-simple ring raises once its chunk fills, before later records
+    # are parsed, and before any error in them; no ring is checked twice
+    checked.clear()
+    images[0]["instances"] = [{"footprint": bowtie}]
+    images[-1] = "not an object"
+    with pytest.raises(DatasetError, match="image 'img-0', instance 0: polygon is not simple"):
+        dataset_from_json({"images": images})
+    assert checked[0] == sum(checked) == geometry._BATCH_EDGES
+
+
 def test_offset_without_height_loads_and_grades_n(tmp_path):
     doc = {
         "images": [

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -363,6 +364,125 @@ def test_huge_coordinates_rejected_on_both_check_paths(ring, monkeypatch):
     big_square = ((-(2.0**500), -(2.0**500)), (2.0**500, -(2.0**500)),
                   (2.0**500, 2.0**500), (-(2.0**500), 2.0**500))
     assert polygon_area(Polygon2D(big_square)) == 2.0**1002
+
+
+_KERNEL_BOUNDS = ("_BATCH_PAIRS", "_BATCH_EDGES", "_BATCH_CANDIDATES")
+
+
+def test_simplicity_kernel_matches_loop_under_tiny_bounds(monkeypatch):
+    # every ring spans several row blocks and candidate passes
+    for name in _KERNEL_BOUNDS:
+        monkeypatch.setattr(geometry, name, 1)
+    test_simplicity_broadcast_matches_loop(monkeypatch)
+
+
+def _zigzag(n, h):
+    """n-vertex simple ring whose edge bboxes all overlap: a zigzag between
+    the rays y = h (x >= 1) and x = -h (y <= -1) of a wedge, away from its
+    apex, closed through one vertex beyond the apex."""
+    pts = [(1 + k // 2, h) if k % 2 == 0 else (-h, -(1 + k // 2)) for k in range(n - 1)]
+    return [(-h - 1, h + 1)] + pts
+
+
+def _all_bboxes_overlap(verts):
+    boxes = [(min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+             for a, b in zip(verts, verts[1:] + verts[:1])]
+    return all(p[0] <= q[1] and q[0] <= p[1] and p[2] <= q[3] and q[2] <= p[3]
+               for k, p in enumerate(boxes) for q in boxes[k + 1:])
+
+
+@pytest.mark.parametrize("bound", [None, 1])
+def test_simplicity_kernel_matches_loop_where_bboxes_overlap(bound, monkeypatch):
+    if bound is not None:
+        for name in _KERNEL_BOUNDS:
+            monkeypatch.setattr(geometry, name, bound)
+    rng = random.Random(4404)
+    cases = []
+    for n in range(4, 65, 4):
+        zigzag = _zigzag(n, rng.choice((1, 3, 8)))
+        assert _all_bboxes_overlap(zigzag)
+        # a dense star with radius ratio near 1, on a coarse grid: collinear
+        # runs and near-misses between neighbors
+        star = [(round(40 + r * math.cos(2 * math.pi * k / n), 1),
+                 round(40 + r * math.sin(2 * math.pi * k / n), 1))
+                for k, r in enumerate(rng.choice((30.0, 29.5)) for _ in range(n))]
+        for pts in (zigzag, star):
+            cases.append(pts)
+            swapped = list(pts)
+            a, b = rng.sample(range(n), 2)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            cases.append(swapped)
+            cases += [_mutate(rng, pts, 10) for _ in range(3)]
+    outcomes = Counter()
+    for verts in cases:
+        loop = _construct(verts, len(verts) + 1, monkeypatch)
+        assert _construct(verts, 3, monkeypatch) == loop, verts
+        outcomes["simple" if isinstance(loop, tuple) else loop] += 1
+    assert outcomes["simple"] >= 20
+    assert outcomes["polygon is not simple (edge fold-back)"] >= 10
+    assert outcomes["polygon is not simple (self-intersection)"] >= 20
+
+
+# Simple: exact arithmetic finds no crossing. In canonical order its edges 1
+# and 4 have disjoint bboxes, yet rounding in their orientations says they
+# cross, so a check that tested them would reject the ring.
+_ROUNDING_RING = (
+    (-801.142447395236, -1470.6234983089635), (91.85260023827618, 246.69655898607235),
+    (136.63479508308114, 432.81726214168503), (181.4169899278861, 418.93796529729775),
+    (793.0369110291488, 1595.1451130657938), (-4.052768183043611, -437.73919262158483),
+)
+
+
+def test_disjoint_edges_never_cross_by_rounding(monkeypatch):
+    from fractions import Fraction
+
+    from offnadir.dataset import dataset_from_json
+
+    v = geometry._canonical_ring(_ROUNDING_RING)
+    a1, a2, b1, b2 = v[1], v[2], v[4], v[5]
+    assert max(a1[0], a2[0]) < min(b1[0], b2[0]) or max(b1[0], b2[0]) < min(a1[0], a2[0])
+    assert geometry._segments_intersect(a1, a2, b1, b2)  # rounding says they cross
+    exact = [(Fraction(x), Fraction(y)) for x, y in v]
+    assert not any(
+        geometry._segments_intersect(exact[i], exact[i + 1], exact[j], exact[(j + 1) % 6])
+        for i in range(6) for j in range(i + 2, 6) if (i, j) != (0, 5)
+    )
+    assert _construct(_ROUNDING_RING, 7, monkeypatch) == v  # the loop
+    assert _construct(_ROUNDING_RING, 3, monkeypatch) == v  # _first_non_simple
+    flat = [c for p in _ROUNDING_RING for c in p]
+    doc = {"images": [{"id": "a", "width": 2000, "height": 2000,
+                       "instances": [{"footprint": flat}]}]}
+    assert dataset_from_json(doc).records[0].instances[0].footprint.vertices == v
+
+
+def test_huge_ring_checked_in_bounded_memory():
+    import tracemalloc
+
+    from offnadir.dataset import DatasetError, dataset_from_json
+
+    n = 20_000
+    circle = [(1000.0 + 900.0 * math.cos(2 * math.pi * k / n),
+               1000.0 + 900.0 * math.sin(2 * math.pi * k / n)) for k in range(n)]
+    crossed = list(circle)
+    crossed[100], crossed[10_100] = crossed[10_100], crossed[100]
+    message = "polygon is not simple (self-intersection)"
+    for verts, simple in ((circle, True), (crossed, False)):
+        doc = {"images": [{"id": "a", "width": 2000, "height": 2000,
+                           "instances": [{"footprint": [c for p in verts for c in p]}]}]}
+        tracemalloc.start()
+        try:
+            if simple:
+                assert len(Polygon2D(tuple(verts))) == n
+                dataset_from_json(doc)
+            else:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    Polygon2D(tuple(verts))
+                with pytest.raises(DatasetError, match=re.escape(f"instance 0: {message}")):
+                    dataset_from_json(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,15 @@ def test_prism_with_collinear_vertex_still_watertight():
     assert tetra_volume(mesh) == pytest.approx(16.0, rel=1e-12)
 
 
+def test_ear_clip_stalls_on_a_negatively_wound_ring():
+    from offnadir.reconstruct import _ear_clip
+
+    # _ear_clip expects positive winding; reversed, no vertex is convex
+    cw = ((0.0, 0.0), (0.0, 2.0), (2.0, 2.0), (2.0, 0.0))
+    with pytest.raises(ValueError, match="^ear clipping stalled; polygon is degenerate$"):
+        _ear_clip(cw)
+
+
 def test_prism_validation():
     p = Polygon2D(((0, 0), (1, 0), (1, 1), (0, 1)))
     with pytest.raises(ValueError):
