@@ -338,8 +338,8 @@ _CROSSED_HEXAGON = ((0, 0), (4, 0), (4, 3), (1, -1), (0, 3), (-1, 1))
 
 
 def _subdivided_hexagon():
-    # 18 vertices (broadcast path): two extra points on every edge, exact
-    # in binary, so the ring crosses itself exactly like the hexagon
+    # 18 vertices: two extra points on every edge, exact in binary, so the
+    # ring crosses itself exactly like the hexagon
     out = []
     for k, (x1, y1) in enumerate(_CROSSED_HEXAGON):
         x2, y2 = _CROSSED_HEXAGON[(k + 1) % 6]
@@ -349,15 +349,17 @@ def _subdivided_hexagon():
 
 @pytest.mark.parametrize("ring", [_CROSSED_HEXAGON, _subdivided_hexagon()])
 def test_huge_coordinates_rejected_on_both_check_paths(ring, monkeypatch):
-    assert (len(ring) >= geometry._BROADCAST_MIN_VERTICES) == (len(ring) == 18)
-    # at these scales the orientation products overflow to inf/NaN, where
-    # every comparison of the simplicity check is false
-    for scale in (1e155, 1e160, 1e200, 1e300, 2.0**499):
-        with pytest.raises(ValueError, match=r"within \+-2\*\*500"):
-            Polygon2D(tuple((x * scale, y * scale) for x, y in ring))
-    # up to the bound the crossing is still found, on either path
-    scaled = [(x * 2.0**497, y * 2.0**497) for x, y in ring]  # |coords| <= 2**499
+    # the kernel (threshold 3) and the loop (threshold n + 1) check each ring
     for threshold in (3, len(ring) + 1):
+        # at these scales the orientation products overflow to inf/NaN, where
+        # every comparison of the simplicity check is false
+        for scale in (1e155, 1e160, 1e200, 1e300, 2.0**499):
+            scaled = [(x * scale, y * scale) for x, y in ring]
+            assert _construct(scaled, threshold, monkeypatch) == (
+                "polygon vertex coordinates must lie within +-2**500"
+            )
+        # up to the bound the crossing is still found
+        scaled = [(x * 2.0**497, y * 2.0**497) for x, y in ring]  # |coords| <= 2**499
         assert _construct(scaled, threshold, monkeypatch) == (
             "polygon is not simple (self-intersection)"
         )
