@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .geometry import (
     _BATCH_EDGES, ImagePose, Polygon2D, Vec2, _canonical_ring, _first_non_simple,
@@ -423,12 +425,96 @@ def _read_json(path):
         raise DatasetError(f"{path} is not valid JSON: {e}") from e
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_CONTAINERS = (list, tuple, dict)  # the pure-Python encoder's container tests
+
+
+@functools.cache
+def _level(depth: int) -> tuple:
+    """The C encoder of the items at depth, built as JSONEncoder.iterencode
+    builds its own but strict and with that depth's line break and indent
+    as item separator; and that separator."""
+    sep = ",\n" + "  " * depth
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                          None, ": ", sep, False, False, False), sep
+
+
+def _dump(obj, f) -> None:
+    """json.dump(obj, f, indent=2, allow_nan=False), byte for byte, written
+    in pieces of at most about 128 strings or 8 KB of scalar containers.
+
+    A container of scalars and empty containers is one C call. A list that
+    holds a container is walked item by item. A dict that holds one is one
+    C call over a copy with null for each non-empty container; that text is
+    cut at the separators (encoded keys and scalars hold no raw newline),
+    and each of those nulls is replaced by its container's text.
+    """
+    pending = []
+    size = 0  # characters of the scalar-only containers pending
+
+    def walk(o, depth):
+        nonlocal size
+        if len(pending) >= 128 or size >= 8192:
+            f.write("".join(pending))
+            pending.clear()
+            size = 0
+        enc, sep = _level(depth + 1)
+        inner, outer = sep[1:], sep[1:-2]
+        if isinstance(o, (list, tuple)):
+            items = o
+        elif isinstance(o, dict):
+            items = o.values()
+        else:
+            pending.append("".join(enc([o], 0))[1:-1])
+            return
+        if _SCALARS.issuperset(map(type, items)):
+            text = "".join(enc(o, 0))
+            size += len(text)
+            if len(text) == 2:  # [] or {}
+                pending.append(text)
+            else:
+                pending.extend((text[0], inner, text[1:-1], outer, text[-1]))
+            return
+        if items is o:
+            buf = "[" + inner
+            for v in o:
+                pending.append(buf)
+                walk(v, depth + 1)
+                buf = sep
+            pending.append(outer + "]")
+        else:
+            text = "".join(enc(
+                {k: None if isinstance(v, _CONTAINERS) and v else v for k, v in o.items()}, 0))
+            buf = "{" + inner
+            for part, v in zip(text[1:-1].split(sep), items):
+                if isinstance(v, _CONTAINERS) and v:
+                    pending.append(buf + part[:-4])  # '"key": null' less its null
+                    walk(v, depth + 1)
+                    buf = sep
+                else:
+                    buf += part + sep
+            pending.append(buf[:-len(sep)] + outer + "}")
+
+    walk(obj, 0)
+    f.write("".join(pending))
+
+
 def _write_json(obj, path) -> None:
-    """Write obj as JSON indented by 2 plus a final newline, UTF-8 with LF
-    line ends; the path "-" means stdout."""
+    """Write obj as json.dumps(obj, indent=2) plus "\\n", byte for byte:
+    ASCII-escaped strict JSON with LF line ends; the path "-" means stdout.
+
+    A non-finite float (or an int too long for str) is a DatasetError that
+    names the path. Without the _json accelerator, json.dump writes it.
+    """
     with (contextlib.nullcontext(sys.stdout) if path == "-"
           else open(path, "w", encoding="utf-8", newline="\n")) as f:
-        json.dump(obj, f, indent=2)
+        try:
+            if c_make_encoder is None:
+                json.dump(obj, f, indent=2, allow_nan=False)
+            else:
+                _dump(obj, f)
+        except ValueError as e:
+            raise DatasetError(f"cannot write {path}: {e}") from e
         f.write("\n")
 
 

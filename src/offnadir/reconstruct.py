@@ -60,7 +60,8 @@ def simplify_chain(points, epsilon: float):
     """Douglas-Peucker on an open polyline; endpoints are always kept.
 
     Every removed point lies within epsilon of the segment between the two
-    kept points enclosing it.
+    kept points enclosing it. A squared distance too large for a float is a
+    ValueError.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
@@ -70,32 +71,35 @@ def simplify_chain(points, epsilon: float):
     keep = [False] * len(pts)
     keep[0] = keep[-1] = True
     stack = [(0, len(pts) - 1)]
-    while stack:
-        a, b = stack.pop()
-        if b - a < 2:
-            continue
-        # the first farthest point from the segment a-b
-        (ax, ay), (bx, by) = pts[a], pts[b]
-        dx, dy = bx - ax, by - ay
-        den = dx * dx + dy * dy
-        d_max = -1.0
-        idx = -1
-        for i in range(a + 1, b):
-            px, py = pts[i]
-            if den == 0.0:
-                d = (px - ax) ** 2 + (py - ay) ** 2
-            else:
-                t = ((px - ax) * dx + (py - ay) * dy) / den
-                # min(1.0, max(0.0, t)), NaN and -0.0 included
-                t = 0.0 if not t > 0.0 else t if t < 1.0 else 1.0
-                d = (px - (ax + t * dx)) ** 2 + (py - (ay + t * dy)) ** 2
-            if d > d_max:
-                d_max = d
-                idx = i
-        if d_max > eps_sq:
-            keep[idx] = True
-            stack.append((a, idx))
-            stack.append((idx, b))
+    try:
+        while stack:
+            a, b = stack.pop()
+            if b - a < 2:
+                continue
+            # the first farthest point from the segment a-b
+            (ax, ay), (bx, by) = pts[a], pts[b]
+            dx, dy = bx - ax, by - ay
+            den = dx * dx + dy * dy
+            d_max = -1.0
+            idx = -1
+            for i in range(a + 1, b):
+                px, py = pts[i]
+                if den == 0.0:
+                    d = (px - ax) ** 2 + (py - ay) ** 2
+                else:
+                    t = ((px - ax) * dx + (py - ay) * dy) / den
+                    # min(1.0, max(0.0, t)), NaN and -0.0 included
+                    t = 0.0 if not t > 0.0 else t if t < 1.0 else 1.0
+                    d = (px - (ax + t * dx)) ** 2 + (py - (ay + t * dy)) ** 2
+                if d > d_max:
+                    d_max = d
+                    idx = i
+            if d_max > eps_sq:
+                keep[idx] = True
+                stack.append((a, idx))
+                stack.append((idx, b))
+    except OverflowError:  # `** 2` of a finite float
+        raise ValueError("chain coordinates too large: a squared distance overflowed") from None
     return [p for p, k in zip(pts, keep) if k]
 
 

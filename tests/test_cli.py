@@ -273,6 +273,18 @@ def test_loss_cli(tmp_path, capsys):
     assert data["samples"][1]["loss"] == pytest.approx(3.9, abs=1e-12)
 
 
+def test_loss_report_that_would_hold_infinity_is_a_data_error(tmp_path, capsys):
+    # each loss is finite, the weighted sums overflow to inf: RFC 8259 has
+    # no token for it, so the report is a data error that names the file
+    comp = tmp_path / "components.json"
+    comp.write_text(json.dumps([{"level": "H", "l_f": 1e308, "l_h": 1e308, "l_rp": 1e308}]))
+    report = tmp_path / "loss.json"
+    assert run(["loss", "--components", str(comp), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {report}: Out of range float values" in err
+    assert "Infinity" not in report.read_text()
+
+
 @pytest.mark.parametrize(
     "components, weights, message",
     [

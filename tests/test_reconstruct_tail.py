@@ -95,7 +95,11 @@ def oracle_simplify_chain(points, epsilon):
         d_max = -1.0
         idx = -1
         for i in range(a + 1, b):
-            d = oracle_point_segment_dist_sq(pts[i], pts[a], pts[b])
+            try:
+                d = oracle_point_segment_dist_sq(pts[i], pts[a], pts[b])
+            except OverflowError:
+                raise ValueError(
+                    "chain coordinates too large: a squared distance overflowed") from None
             if d > d_max:
                 d_max = d
                 idx = i
@@ -230,10 +234,15 @@ def test_simplify_dp_matches_the_loops(p, eps):
     st.sampled_from([0.0, 0.01, 0.2, 1.0]),
 )
 def test_simplify_chain_matches_the_loop(points, scale, eps):
-    # 1e200 makes `** 2` overflow: the same OverflowError at the same point
+    # 1e200 makes `** 2` overflow: the same ValueError, never an OverflowError
     pts = [(x * scale, y * scale) for x, y in points]
     assert outcome(simplify_chain, pts, eps * scale) == outcome(oracle_simplify_chain, pts,
                                                                 eps * scale)
+
+
+def test_simplify_chain_reports_an_overflowing_squared_distance():
+    with pytest.raises(ValueError, match="squared distance overflowed"):
+        simplify_chain([(0, 0), (1e200, 1e200), (2e200, 0)], 0.0)
 
 
 def test_collapse_degenerate_and_stall_messages_match_the_loops():
