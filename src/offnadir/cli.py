@@ -8,6 +8,7 @@ deterministic given its inputs and flags, and never mutates input files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields, replace
 
@@ -26,7 +27,9 @@ from .dataset import (
     validate_consistency,
 )
 from .geometry import offset_from_pose, translate_polygon
-from .losses import ExternalLossInputs, LevelComponents, LossWeights, hybrid_loss, level_loss
+from .losses import (
+    _COMPONENTS, ExternalLossInputs, LevelComponents, LossWeights, hybrid_loss, level_loss,
+)
 from .metrics import evaluate
 from .pseudobox import DEFAULT_EXPAND_RATIO, pseudo_bbox_level_h, pseudo_bbox_level_n
 from .raster import mask_to_rle, rasterize_polygons, translate_mask
@@ -39,7 +42,7 @@ EXIT_DATA = 2
 
 # component keys of a loss sample; the detection-network ones are read first
 _EXTERNAL_KEYS = frozenset(f.name for f in fields(ExternalLossInputs))
-_LEVEL_KEYS = frozenset(f.name for f in fields(LevelComponents) if f.name != "external")
+_LEVEL_KEYS = frozenset(_COMPONENTS)
 
 
 class UsageError(Exception):
@@ -210,10 +213,7 @@ def _cmd_eval(args) -> int:
         _write_json(
             {
                 "aggregate": agg.to_json(),
-                "per_image": {
-                    image_id: rep.to_json()
-                    for image_id, rep in sorted(result.per_image.items())
-                },
+                "per_image": {i: rep.to_json() for i, rep in result.per_image.items()},
             },
             args.report,
         )
@@ -278,6 +278,8 @@ def _cmd_loss(args) -> int:
             },
             args.report,
         )
+    if not math.isfinite(total):  # finite components whose weighted sum overflowed
+        raise DatasetError(f"total hybrid loss is not finite: {total}")
     return EXIT_OK
 
 
@@ -407,3 +409,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .geometry import (
-    _BATCH_EDGES, ImagePose, Polygon2D, Vec2, _canonical_ring, _first_non_simple,
+    _BATCH_EDGES, TWO_PI, ImagePose, Polygon2D, Vec2, _canonical_ring, _first_non_simple,
 )
 
 ROOF_OFFSET_TOL_PX = 1e-6
@@ -79,13 +79,13 @@ class BuildingInstance:
             # is translate_polygon's x + (-dx) bit for bit
             dx, dy = self.offset.dx, self.offset.dy
             got = self.roof.vertices
-            want = [(x - dx, y - dy) for x, y in self.footprint.vertices]
-            if len(got) != len(want):
+            fp = self.footprint.vertices
+            if len(got) != len(fp):
                 raise DatasetError(
-                    f"roof has {len(got)} vertices but footprint - offset has {len(want)}"
+                    f"roof has {len(got)} vertices but footprint - offset has {len(fp)}"
                 )
             dev = max(
-                max(abs(gx - wx), abs(gy - wy)) for (gx, gy), (wx, wy) in zip(got, want)
+                max(abs(gx - (x - dx)), abs(gy - (y - dy))) for (gx, gy), (x, y) in zip(got, fp)
             )
             if dev > ROOF_OFFSET_TOL_PX:
                 raise DatasetError(
@@ -579,13 +579,11 @@ def validate_consistency(record: SampleRecord, tol_px: float = 1e-6) -> Consiste
             )
         if measured > 0.0 and expected > 0.0:
             ang = math.atan2(inst.offset.dy, inst.offset.dx)
-            diff = abs((ang - pose.phi) % (2.0 * math.pi))
-            diff = min(diff, 2.0 * math.pi - diff)
+            diff = abs((ang - pose.phi) % TWO_PI)
+            diff = min(diff, TWO_PI - diff)
             arc = diff * measured
             if arc > tol_px:
-                findings.append(
-                    Finding(record.image_id, k, "angle", ang % (2.0 * math.pi), pose.phi, arc)
-                )
+                findings.append(Finding(record.image_id, k, "angle", ang % TWO_PI, pose.phi, arc))
     return ConsistencyReport(findings=tuple(findings), notes=tuple(notes))
 
 

@@ -49,13 +49,9 @@ class LossWeights:
     beta1: float = 1.0
     beta2: float = 1.0
     beta3: float = 16.0
-    lambda1: float = 0.1
-    smooth_l1_beta: float = 1.0
 
     def __post_init__(self):
         _check_nonnegative(self, self.__dataclass_fields__, "LossWeights.")
-        if self.smooth_l1_beta <= 0:
-            raise ValueError("smooth_l1_beta must be > 0")
 
 
 @dataclass(frozen=True)
@@ -109,6 +105,8 @@ def offset_angle_loss(v_pred: Vec2, v_gt_unit: Vec2, lambda1: float = 0.1) -> fl
     Zero-offset (nadir) instances have no direction and must be excluded by
     the caller; the ground truth here is required to be unit length.
     """
+    if not 0 <= lambda1 < math.inf:  # false for NaN too
+        raise ValueError(f"lambda1 must be finite and >= 0, got {lambda1}")
     if abs(v_gt_unit.norm() - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"ground-truth direction must be unit length, got norm {v_gt_unit.norm()}")
     l1 = abs(v_pred.dx - v_gt_unit.dx) + abs(v_pred.dy - v_gt_unit.dy)

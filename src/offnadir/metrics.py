@@ -15,7 +15,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .dataset import Dataset
-from .geometry import Polygon2D
+from .geometry import TWO_PI, Polygon2D
 from .raster import BitMask, rasterize_polygons
 
 
@@ -193,8 +193,8 @@ def _angles(pose_pairs):
         n += 1
         if g.tan_theta == 0:
             continue  # phi is undefined at nadir
-        d = abs(p.phi - g.phi) % (2.0 * math.pi)
-        ova += min(d, 2.0 * math.pi - d)
+        d = abs(p.phi - g.phi) % TWO_PI
+        ova += min(d, TWO_PI - d)
         n_ova += 1
     return (
         math.degrees(ona / n) if n else 0.0,

@@ -29,6 +29,7 @@ from .dataset import (
     strip_annotations,
 )
 from .geometry import (
+    TWO_PI,
     ImagePose,
     Polygon2D,
     Vec2,
@@ -58,7 +59,7 @@ class SynthConfig:
     buildings_per_image: tuple = (3, 8)
     height_range: tuple = (3.0, 40.0)
     tan_theta_range: tuple = (0.2, 1.2)
-    phi_range: tuple = (0.0, 2.0 * math.pi)
+    phi_range: tuple = (0.0, TWO_PI)
     scale_s: float = 1.0
     shape_family: str = "axis_rect"
     integer_offsets: bool = True
@@ -155,8 +156,8 @@ def _snap_direction(phi: float):
 
     def key(direction):
         a, b, ang = direction
-        d = abs(ang - phi) % (2.0 * math.pi)
-        return (min(d, 2.0 * math.pi - d), a * a + b * b, ang)
+        d = abs(ang - phi) % TWO_PI
+        return (min(d, TWO_PI - d), a * a + b * b, ang)
 
     i = bisect.bisect(_ANGLES, phi)
     a, b, _ = min(_DIRECTIONS[i - 1], _DIRECTIONS[i % len(_DIRECTIONS)], key=key)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import re
+import runpy
+import sys
 from dataclasses import replace
 
 import pytest
@@ -483,3 +485,39 @@ def test_parameter_checks_reject_nan_and_out_of_range(
         argv = [a.format(scene=scene_path, out=tmp_path / "out") for a in argv]
         assert run(argv) == 2
         assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["lambda1", "smooth_l1_beta"])
+def test_loss_weight_keys_that_no_function_reads_are_unknown(tmp_path, capsys, key):
+    comp = tmp_path / "components.json"
+    comp.write_text(json.dumps(GOOD_COMPONENTS))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"alpha1": 1.0, key: 0.1}))
+    assert run(["loss", "--components", str(comp), "--weights", str(weights)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: weights file {weights}: unknown loss weight keys ['{key}']\n"
+
+
+def test_loss_that_overflows_to_infinity_is_a_data_error_without_a_report(tmp_path, capsys):
+    # finite components, weighted sum inf: printed, then exit 2
+    comp = tmp_path / "components.json"
+    comp.write_text(json.dumps([{"level": "H", "l_f": 1e308, "l_h": 1e308, "l_rp": 1e308}]))
+    assert run(["loss", "--components", str(comp)]) == 2
+    out, err = capsys.readouterr()
+    assert out.endswith("total hybrid loss: inf\n")
+    assert err == "error: total hybrid loss is not finite: inf\n"
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["synth"], 1)])
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys, argv, code):
+    # run_module warns when the module is already imported; run a fresh copy
+    monkeypatch.delitem(sys.modules, "offnadir.cli")
+    monkeypatch.setattr(sys, "argv", ["offnadir", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("offnadir.cli", run_name="__main__")
+    assert exit_info.value.code == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.startswith("offnadir ")
+    else:
+        assert "the following arguments are required: --config, --out" in err

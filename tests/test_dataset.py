@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -584,3 +585,31 @@ def test_validate_consistency_skips_partial_instances():
     report = validate_consistency(rec, 1e-6)
     assert report.findings == ()
     assert any("skipped" in n for n in report.notes)
+
+
+def test_supervision_level_prints_its_name():
+    assert [str(level) for level in SupervisionLevel] == ["N", "H", "OH"]
+
+
+@pytest.mark.parametrize("pose, message", [
+    ({"tan_theta": -1, "phi": 0.0, "scale_s": 1.0}, "tan_theta must be >= 0, got -1.0"),
+    ({"tan_theta": 0.5, "phi": 0.0, "scale_s": 0}, "scale_s must be > 0, got 0.0"),
+], ids=["negative-tan-theta", "zero-scale"])
+def test_load_names_the_image_of_a_pose_that_imagepose_rejects(pose, message):
+    doc = _valid_document()
+    _set(doc, IMAGE + ("pose",), pose)
+    with pytest.raises(DatasetError, match=f"^image 'img': {message}$"):
+        dataset_from_json(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "dataset root must be an object"),
+    ({"images": [], "metadata": []}, '"metadata" must be an object'),
+], ids=["root-array", "metadata-array"])
+def test_load_rejects_a_root_or_metadata_that_is_not_an_object(tmp_path, capsys, doc, message):
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        dataset_from_json(doc)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    assert run(["grade", "--in", str(file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -528,3 +528,27 @@ def test_bbox_intersection():
 def test_bbox_validation():
     with pytest.raises(ValueError):
         BBox(1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_values_are_rejected_by_name(value):
+    for name in ("tan_theta", "phi", "scale_s"):
+        kw = {**dict(tan_theta=0.5, phi=0.0, scale_s=1.0), name: value}
+        with pytest.raises(ValueError, match=rf"^ImagePose\.{name} must be finite$"):
+            ImagePose(**kw)
+    for name in ("x_min", "y_min", "x_max", "y_max"):
+        kw = {**dict(x_min=0.0, y_min=0.0, x_max=1.0, y_max=1.0), name: value}
+        with pytest.raises(ValueError, match=rf"^BBox\.{name} must be finite$"):
+            BBox(**kw)
+    with pytest.raises(ValueError, match=r"^polygon vertices must be finite$"):
+        Polygon2D(((0.0, 0.0), (value, 0.0), (1.0, 1.0)))
+
+
+def test_segments_touch_where_one_endpoint_lies_on_the_other_segment():
+    a, b = (0.0, 0.0), (2.0, 0.0)
+    # q1 lies on a b; then p2 lies on a b
+    assert geometry._segments_intersect(a, b, (1.0, 0.0), (1.0, 1.0))
+    assert geometry._segments_intersect((0.0, 1.0), (1.0, 0.0), a, b)
+    # on the line through a b, but past b
+    assert not geometry._segments_intersect(a, b, (3.0, 0.0), (3.0, 1.0))
+    assert not geometry._segments_intersect((0.0, 1.0), (3.0, 0.0), a, b)

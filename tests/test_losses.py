@@ -132,7 +132,6 @@ def test_default_weights():
         8.0,
     )
     assert (w.beta1, w.beta2, w.beta3) == (1.0, 1.0, 16.0)
-    assert w.lambda1 == 0.1
     with pytest.raises(ValueError):
         LossWeights(alpha1=-1.0)
 
@@ -236,3 +235,15 @@ def test_all_losses_nonnegative_random():
         for level in SupervisionLevel:
             assert level_loss(level, c, w) >= 0.0
         assert smooth_l1(rng.normal(size=5), rng.normal(size=5)) >= 0.0
+
+
+def test_cross_entropy_of_an_empty_grid_is_undefined():
+    with pytest.raises(ValueError, match=r"^cross entropy of an empty grid is undefined$"):
+        mask_cross_entropy(np.zeros((0, 4)), BitMask(4, 0))
+
+
+@pytest.mark.parametrize("lambda1", [-5.0, math.nan, math.inf])
+def test_offset_angle_loss_rejects_a_negative_or_non_finite_lambda1(lambda1):
+    # a negative weight would make the loss negative: -4.0 for this pair
+    with pytest.raises(ValueError, match=r"^lambda1 must be finite and >= 0, got "):
+        offset_angle_loss(Vec2(2.0, 0.0), Vec2(1.0, 0.0), lambda1)

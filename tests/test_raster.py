@@ -504,3 +504,17 @@ def test_window_translate_matches_dense(data):
     want = dense_translate(m.dense(), round_half_away(v.dx), round_half_away(v.dy))
     assert np.array_equal(moved.dense(), want)
     assert moved == BitMask(w, h, want)
+
+
+def test_bitmask_compares_only_with_masks_and_prints_its_size():
+    m = BitMask(3, 2, np.array([[1, 0, 1], [0, 0, 1]]))
+    assert m.__eq__(5) is NotImplemented
+    assert m != 5
+    assert repr(m) == "BitMask(3x2, 3 set)"
+
+
+@pytest.mark.parametrize("width, height", [(0, 0), (0, 3), (3, 0)])
+def test_rle_of_a_zero_pixel_grid_is_empty(width, height):
+    m = BitMask(width, height)
+    assert mask_to_rle(m) == []
+    assert rle_to_mask([], width, height) == m

@@ -496,3 +496,9 @@ def test_reconstruct_ordering(int_scene_dataset):
     assert a == reconstruct_dataset(int_scene_dataset, epsilon=0.0)
     names = [name for name, _ in a.meshes]
     assert names == sorted(names)
+
+
+@pytest.mark.parametrize("triangle", [(0, 1), (0, 1, 2, 0)])
+def test_mesh_triangles_need_three_indices(triangle):
+    with pytest.raises(ValueError, match=r"^triangle must have 3 indices, got \("):
+        Mesh3D(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (triangle,))

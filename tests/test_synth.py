@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -249,3 +250,32 @@ def test_estimate_pose_recovers_synth_pose_property(
         dphi = abs(fit.phi - r.pose.phi) % (2.0 * math.pi)
         assert min(dphi, 2.0 * math.pi - dphi) <= 1e-9
         assert fit.residual < 1e-9
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(image_w=0), "image dimensions must be positive, got 0x96"),
+    (dict(image_h=-1), "image dimensions must be positive, got 96x-1"),
+    (dict(n_images=-1), "n_images must be >= 0, got -1"),
+    (dict(buildings_per_image=(-1, 2)), "buildings_per_image must be >= 0"),
+    (dict(height_range=(-1.0, 2.0)), "height_range must be >= 0"),
+    (dict(tan_theta_range=(-0.5, 1.0)), "tan_theta_range must be >= 0"),
+    (dict(seed=-1), "seed must be an unsigned 64-bit integer"),
+    (dict(seed=2**64), "seed must be an unsigned 64-bit integer"),
+], ids=["width", "height", "n-images", "buildings", "heights", "tan-theta", "seed-negative",
+        "seed-too-large"])
+def test_synth_config_rejects_out_of_range_values(changes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SynthConfig(**{**SMALL, **changes})
+
+
+def test_synth_config_must_be_a_json_object():
+    with pytest.raises(ValueError, match=r"^synth config must be a JSON object$"):
+        config_from_json([])
+
+
+def test_synthesis_fails_when_no_position_fits_footprint_and_roof():
+    # a 50 px offset cannot keep both the footprint and the roof in a 16 px image
+    cfg = SynthConfig(image_w=16, image_h=16, n_images=1, buildings_per_image=(1, 1),
+                      height_range=(10.0, 10.0), tan_theta_range=(5.0, 5.0))
+    with pytest.raises(SynthesisError, match=r"^image 0: failed to place building 1/1 after 1000"):
+        generate_scenes(cfg)
