@@ -69,10 +69,10 @@ class BuildingInstance:
         if self.footprint is None and not (self.roof is not None and self.offset is not None):
             raise DatasetError("instance needs a footprint or both roof and offset")
         if self.height is not None:
-            if not (math.isfinite(self.height) and self.height >= 0):
+            if type(self.height) is bool or not (math.isfinite(self.height) and self.height >= 0):
                 raise DatasetError(f"height must be finite and >= 0, got {self.height!r}")
         if self.score is not None:
-            if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
+            if type(self.score) is bool or not (math.isfinite(self.score) and 0 <= self.score <= 1):
                 raise DatasetError(f"score must be in [0, 1], got {self.score!r}")
         if self.footprint is not None and self.roof is not None and self.offset is not None:
             # footprint - offset without building a throwaway polygon; x - dx
@@ -144,6 +144,8 @@ class SampleRecord:
     pose_extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.image_id, str):
+            raise DatasetError(f"image id must be a string, got {self.image_id!r}")
         if not (_is_integer(self.width) and _is_integer(self.height)):
             raise DatasetError(f"image {self.image_id!r}: dimensions must be integers")
         if self.width <= 0 or self.height <= 0:

@@ -39,8 +39,9 @@ class Vec2:
     dy: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.dx) and math.isfinite(self.dy)):
-            raise ValueError(f"Vec2 components must be finite, got ({self.dx!r}, {self.dy!r})")
+        dx, dy = self.dx, self.dy
+        if bool in (type(dx), type(dy)) or not (math.isfinite(dx) and math.isfinite(dy)):
+            raise ValueError(f"Vec2 components must be finite numbers, got ({dx!r}, {dy!r})")
 
     def norm(self) -> float:
         return math.hypot(self.dx, self.dy)
@@ -67,7 +68,10 @@ class ImagePose:
 
     def __post_init__(self):
         for name in ("tan_theta", "phi", "scale_s"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if type(value) is bool:
+                raise ValueError(f"ImagePose.{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"ImagePose.{name} must be finite")
         if self.tan_theta < 0:
             raise ValueError(f"tan_theta must be >= 0, got {self.tan_theta}")

@@ -327,7 +327,6 @@ def export_obj(meshes, path) -> None:
 def parse_obj(path):
     """Read an OBJ file written by export_obj back into (name, Mesh3D) pairs."""
     objects = []
-    verts_all = []
     current = None  # [name, vert_start, vertices, triangles]
     with open(path, encoding="ascii") as f:
         for line_no, raw in enumerate(f, 1):
@@ -336,14 +335,19 @@ def parse_obj(path):
                 continue
             parts = line.split()
             if parts[0] == "o":
+                start = 0 if current is None else current[1] + len(current[2])
                 if current is not None:
                     objects.append(current)
-                current = [" ".join(parts[1:]), len(verts_all), [], []]
+                current = [" ".join(parts[1:]), start, [], []]
             elif parts[0] == "v":
                 if current is None:
                     raise ValueError(f"line {line_no}: vertex before any object")
-                xyz = tuple(float(c) for c in parts[1:4])
-                verts_all.append(xyz)
+                try:
+                    xyz = tuple(float(c) for c in parts[1:4])
+                except ValueError as e:
+                    raise ValueError(f"line {line_no}: {e}") from e
+                if len(xyz) != 3:
+                    raise ValueError(f"line {line_no}: vertex needs 3 coordinates, got {len(xyz)}")
                 current[2].append(xyz)
             elif parts[0] == "f":
                 if current is None:

@@ -66,16 +66,17 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key, (is_valid, kind) in _FIELD_TYPES.items():
+            if not is_valid(getattr(self, key)):
+                raise ValueError(f"synth config {key!r} must be {kind}")
         if self.image_w <= 0 or self.image_h <= 0:
             raise ValueError(f"image dimensions must be positive, got {self.image_w}x{self.image_h}")
         if self.n_images < 0:
             raise ValueError(f"n_images must be >= 0, got {self.n_images}")
         for name in ("buildings_per_image", "height_range", "tan_theta_range", "phi_range"):
             pair = getattr(self, name)
-            if len(pair) != 2 or not pair[0] <= pair[1]:  # false for NaN too
+            if not pair[0] <= pair[1]:
                 raise ValueError(f"{name} must be a nonempty [min, max] range, got {pair}")
-            if name != "buildings_per_image" and not all(map(math.isfinite, pair)):
-                raise ValueError(f"{name} must be finite, got {pair}")
             object.__setattr__(self, name, tuple(pair))
         if self.buildings_per_image[0] < 0:
             raise ValueError("buildings_per_image must be >= 0")
@@ -83,7 +84,7 @@ class SynthConfig:
             raise ValueError("height_range must be >= 0")
         if self.tan_theta_range[0] < 0:
             raise ValueError("tan_theta_range must be >= 0")
-        if not 0 < self.scale_s < math.inf:
+        if self.scale_s <= 0:
             raise ValueError(f"scale_s must be finite and > 0, got {self.scale_s}")
         if self.shape_family not in SHAPE_FAMILIES:
             raise ValueError(f"shape_family must be one of {SHAPE_FAMILIES}")
@@ -121,13 +122,9 @@ def config_from_json(obj) -> SynthConfig:
     values of the wrong type raise ValueError naming the key."""
     if not isinstance(obj, dict):
         raise ValueError("synth config must be a JSON object")
-    known = set(SynthConfig.__dataclass_fields__)
-    unknown = set(obj) - known
+    unknown = set(obj) - set(SynthConfig.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
-    for key, (is_valid, kind) in _FIELD_TYPES.items():
-        if key in obj and not is_valid(obj[key]):
-            raise ValueError(f"synth config {key!r} must be {kind}")
     return SynthConfig(**obj)
 
 

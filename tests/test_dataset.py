@@ -613,3 +613,20 @@ def test_load_rejects_a_root_or_metadata_that_is_not_an_object(tmp_path, capsys,
     file.write_text(json.dumps(doc))
     assert run(["grade", "--in", str(file)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_instance_rejects_a_boolean_height():
+    # save_dataset would write it and load_dataset reject it
+    with pytest.raises(DatasetError, match=r"^height must be finite and >= 0, got True$"):
+        make_instance(height=True)
+
+
+def test_instance_rejects_a_boolean_score():
+    with pytest.raises(DatasetError, match=r"^score must be in \[0, 1\], got True$"):
+        make_instance(score=True)
+
+
+def test_record_rejects_an_image_id_that_is_not_a_string():
+    with pytest.raises(DatasetError, match=r"^image id must be a string, got 5$"):
+        record_of(image_id=5)
+

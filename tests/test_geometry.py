@@ -552,3 +552,17 @@ def test_segments_touch_where_one_endpoint_lies_on_the_other_segment():
     # on the line through a b, but past b
     assert not geometry._segments_intersect(a, b, (3.0, 0.0), (3.0, 1.0))
     assert not geometry._segments_intersect((0.0, 1.0), (3.0, 0.0), a, b)
+
+
+@pytest.mark.parametrize("dx, dy", [(True, 0.0), (0.0, False)])
+def test_vec2_rejects_booleans(dx, dy):
+    # the loader rejects a boolean offset, so the library must not build one
+    with pytest.raises(ValueError, match=r"^Vec2 components must be finite numbers, got "):
+        Vec2(dx, dy)
+
+
+@pytest.mark.parametrize("name", ["tan_theta", "phi", "scale_s"])
+def test_image_pose_rejects_booleans(name):
+    kw = {**dict(tan_theta=0.5, phi=0.0, scale_s=1.0), name: True}
+    with pytest.raises(ValueError, match=rf"^ImagePose\.{name} must be a number, got True$"):
+        ImagePose(**kw)

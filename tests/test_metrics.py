@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offnadir.dataset import BuildingInstance, Dataset, SampleRecord
 from offnadir.geometry import ImagePose, Polygon2D, Vec2, translate_polygon
@@ -17,6 +19,7 @@ from offnadir.metrics import (
     polygon_iou,
 )
 from offnadir.raster import BitMask
+from test_raster import brute_force_raster
 
 
 def square(x0, y0, side):
@@ -334,3 +337,149 @@ def test_zero_pixel_footprint_never_matches_itself():
     agg = evaluate(d, d).aggregate
     assert (agg.tp, agg.fp, agg.fn) == (0, 1, 1)
     assert agg.f1 == 0.0 and agg.precision == 0.0 and agg.recall == 0.0
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle for evaluate
+
+
+@st.composite
+def rectangles(draw, w, h, near=()):
+    """Axis rectangles on a 1/4 px lattice: one of near shifted by up to
+    1 px, or anywhere around the grid, some sub-pixel, some off it."""
+    if near and draw(st.integers(0, 3)):
+        (x0, y0), _, (x1, y1), _ = draw(st.sampled_from(near)).vertices
+        dx, dy = (draw(st.integers(-2, 2)) / 2 for _ in range(2))
+        return square_of(x0 + dx, y0 + dy, x1 + dx, y1 + dy)
+    x0 = draw(st.integers(-4, 4 * (w + 1))) / 4
+    y0 = draw(st.integers(-4, 4 * (h + 1))) / 4
+    sx, sy = (draw(st.integers(2, 40)) / 4 for _ in range(2))
+    # within [-w, 2w] x [-h, 2h], the records' frame, also when shifted
+    return square_of(x0, y0, min(x0 + sx, 2 * w - 2), min(y0 + sy, 2 * h - 2))
+
+
+def square_of(x0, y0, x1, y1):
+    return Polygon2D(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+
+
+def maybe(draw, strategy):
+    return draw(st.one_of(st.none(), strategy))
+
+
+@st.composite
+def instances(draw, w, h, scored, near=()):
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        footprint = draw(rectangles(w, h, near))
+        offset = maybe(draw, st.builds(Vec2, st.integers(-6, 6), st.floats(-6.0, 6.0)))
+        height = maybe(draw, st.floats(0.0, 50.0))
+        score = draw(st.sampled_from([0.25, 0.5, None])) if scored else None
+        out.append(inst(footprint, offset=offset, height=height, score=score))
+    return tuple(out)
+
+
+poses = st.one_of(
+    st.none(),
+    st.builds(ImagePose, st.sampled_from([0.0, 0.4, 1.2]), st.floats(-7.0, 7.0), st.just(1.0)),
+)
+
+
+@st.composite
+def eval_cases(draw):
+    gt_records, pred_records = [], []
+    for image_id in "abc"[: draw(st.integers(1, 3))]:
+        w, h = draw(st.integers(8, 24)), draw(st.integers(8, 24))
+        gts = draw(instances(w, h, scored=False))
+        preds = draw(instances(w, h, scored=True, near=tuple(g.footprint for g in gts)))
+        gt_records.append(SampleRecord(image_id, w, h, pose=draw(poses), instances=gts))
+        pred_records.append(SampleRecord(image_id, w, h, pose=draw(poses), instances=preds))
+    pred_records.reverse()  # evaluate pairs records by id, not by position
+    threshold = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    return Dataset(records=tuple(pred_records)), Dataset(records=tuple(gt_records)), threshold
+
+
+def oracle_pairs(preds, gts, w, h, threshold):
+    """Greedy matching over every pred x gt IoU of full-grid brute-force
+    rasters: predictions by descending score (missing = 1.0, ties in input
+    order) each take the untaken gt of highest IoU (first among equals) if
+    that IoU is above 0 and at least the threshold."""
+    pm = [brute_force_raster(p.footprint, w, h).dense() for p in preds]
+    gm = [brute_force_raster(g.footprint, w, h).dense() for g in gts]
+    iou = [[0.0] * len(gts) for _ in preds]
+    for i, a in enumerate(pm):
+        for j, b in enumerate(gm):
+            inter = int(np.count_nonzero(a & b))
+            union = int(np.count_nonzero(a)) + int(np.count_nonzero(b)) - inter
+            iou[i][j] = inter / union if union else 0.0
+    score = [1.0 if p.score is None else p.score for p in preds]
+    taken = set()
+    pairs = []
+    for i in sorted(range(len(preds)), key=lambda i: (-score[i], i)):
+        free = [j for j in range(len(gts)) if j not in taken]
+        if not free:
+            continue
+        best = max(free, key=lambda j: (iou[i][j], -j))
+        if iou[i][best] > 0 and iou[i][best] >= threshold:
+            taken.add(best)
+            pairs.append((preds[i], gts[best]))
+    return pairs, len(preds) - len(pairs), len(gts) - len(pairs)
+
+
+def mean(xs):
+    return sum(xs) / len(xs) if xs else 0.0
+
+
+def circular(d):
+    d = abs(d) % (2 * math.pi)
+    return min(d, 2 * math.pi - d)
+
+
+def oracle_report(images):
+    """(pairs, fp, fn, (pred pose, gt pose)) of some images -> EvalReport fields."""
+    pairs = [pair for p, _, _, _ in images for pair in p]
+    tp, fp, fn = len(pairs), sum(im[1] for im in images), sum(im[2] for im in images)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    epe = [math.hypot(p.offset.dx - g.offset.dx, p.offset.dy - g.offset.dy)
+           for p, g in pairs if p.offset is not None and g.offset is not None]
+    dh = [p.height - g.height for p, g in pairs if p.height is not None and g.height is not None]
+    both = [(p, g) for _, _, _, (p, g) in images if p is not None and g is not None]
+    ona = [abs(math.atan(p.tan_theta) - math.atan(g.tan_theta)) for p, g in both]
+    ova = [circular(p.phi - g.phi) for p, g in both if g.tan_theta > 0]
+
+    return dict(
+        precision=precision, recall=recall, f1=f1, tp=tp, fp=fp, fn=fn,
+        epe=mean(epe), epe_pairs=len(epe),
+        height_mae=mean([abs(d) for d in dh]), height_rmse=math.sqrt(mean([d * d for d in dh])),
+        height_pairs=len(dh),
+        offnadir_mae_deg=math.degrees(mean(ona)), offsetangle_mae_deg=math.degrees(mean(ova)),
+        angle_images=len(ona), offsetangle_images=len(ova),
+    )
+
+
+FLOAT_FIELDS = ("epe", "height_mae", "height_rmse", "offnadir_mae_deg", "offsetangle_mae_deg")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(eval_cases())
+def test_evaluate_matches_a_brute_force_oracle(case):
+    pred, gt, threshold = case
+    preds = pred.by_id()
+    images = {}
+    for g in gt.records:
+        p = preds[g.image_id]
+        pairs, fp, fn = oracle_pairs(p.instances, g.instances, g.width, g.height, threshold)
+        images[g.image_id] = (pairs, fp, fn, (p.pose, g.pose))
+    result = evaluate(pred, gt, threshold)
+    assert set(result.per_image) == set(images)
+    got = [(result.aggregate, list(images.values()))]
+    got += [(result.per_image[image_id], [im]) for image_id, im in images.items()]
+    for report, subset in got:
+        want = oracle_report(subset)
+        have = report.to_json()
+        for key, value in want.items():
+            if key in FLOAT_FIELDS:
+                assert have[key] == pytest.approx(value, abs=1e-12), key
+            else:
+                assert have[key] == value, key

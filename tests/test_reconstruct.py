@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -502,3 +503,14 @@ def test_reconstruct_ordering(int_scene_dataset):
 def test_mesh_triangles_need_three_indices(triangle):
     with pytest.raises(ValueError, match=r"^triangle must have 3 indices, got \("):
         Mesh3D(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (triangle,))
+
+
+@pytest.mark.parametrize("vertex, message", [
+    ("v 0 0", "line 2: vertex needs 3 coordinates, got 2"),
+    ("v 0 x 0", "line 2: could not convert string to float: 'x'"),
+])
+def test_parse_obj_rejects_a_bad_vertex_line_by_number(tmp_path, vertex, message):
+    path = tmp_path / "bad.obj"
+    path.write_text(f"o a\n{vertex}\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_obj(path)

@@ -279,3 +279,13 @@ def test_synthesis_fails_when_no_position_fits_footprint_and_roof():
                       height_range=(10.0, 10.0), tan_theta_range=(5.0, 5.0))
     with pytest.raises(SynthesisError, match=r"^image 0: failed to place building 1/1 after 1000"):
         generate_scenes(cfg)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("integer_offsets", "no"), ("buildings_per_image", (1.5, 3)), ("height_range", (True, 5)),
+    ("scale_s", True), ("n_images", 2.0), ("seed", 1.5),
+])
+def test_synth_config_built_in_python_checks_field_types(key, value):
+    # the same check and message as a config file, at construction
+    with pytest.raises(ValueError, match=f"^synth config '{key}' must be "):
+        SynthConfig(**{**SMALL, key: value})
