@@ -1,9 +1,12 @@
 """Instance-level evaluation: IoU matching, detection P/R/F1, offset EPE,
 height MAE/RMSE, and image-pose angle errors.
 
-Matching is greedy in descending prediction score against footprint masks
-(IoU >= threshold, one-to-one). Aggregation across images is micro:
-global TP/FP/FN counts and error means pooled over all matched pairs.
+Matching is greedy and one-to-one, against footprint masks. Predictions go
+in descending score; a missing score counts as 1.0, and ties keep input
+order. Each claims the untaken ground truth of highest IoU, the first in
+index order among equal IoUs, if that IoU is above 0 and at least the
+threshold. Aggregation across images is micro: global TP/FP/FN counts and
+error means pooled over all matched pairs.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
-
-import numpy as np
 
 from .dataset import Dataset
 from .geometry import TWO_PI, Polygon2D
@@ -73,9 +74,11 @@ def _check_iou_threshold(iou_threshold) -> None:
 def match_instances(preds, gts, iou_threshold: float = 0.5, grid=(512, 512)) -> MatchResult:
     """Greedy score-descending matching of predictions to ground truth.
 
-    Each prediction (ties broken by input order) claims the unmatched
-    ground-truth instance of highest footprint-mask IoU, if that IoU
-    reaches the threshold, which must lie in [0, 1].
+    Predictions go in descending score; a missing score counts as 1.0, and
+    ties keep input order. Each claims the untaken ground-truth instance of
+    highest footprint-mask IoU, the first in index order among equal IoUs,
+    if that IoU is above 0 and at least the threshold, which must lie in
+    [0, 1].
     """
     _check_iou_threshold(iou_threshold)
     preds = list(preds)
@@ -87,28 +90,22 @@ def match_instances(preds, gts, iou_threshold: float = 0.5, grid=(512, 512)) -> 
 
 def _match_masks(preds, gts, pred_masks, gt_masks, iou_threshold: float) -> MatchResult:
     """match_instances over the instances' footprint masks."""
-    # only masks whose windows overlap can have a nonzero IoU; empty
-    # windows sit at (0, 0, 0, 0) and so overlap nothing
-    pw = np.array([m.window for m in pred_masks], dtype=np.int64).reshape(-1, 1, 4)
-    gw = np.array([m.window for m in gt_masks], dtype=np.int64).reshape(1, -1, 4)
-    overlaps = (
-        (pw[..., 0] < gw[..., 2])
-        & (gw[..., 0] < pw[..., 2])
-        & (pw[..., 1] < gw[..., 3])
-        & (gw[..., 1] < pw[..., 3])
-    )
     order = sorted(
         range(len(preds)),
         key=lambda i: -(preds[i].score if preds[i].score is not None else 1.0),
     )
+    gt_windows = [m.window for m in gt_masks]
     taken = [False] * len(gts)
     pairs = []
     matched_preds = set()
     for i in order:
+        x0, y0, x1, y1 = pred_masks[i].window
         best_iou = 0.0
         best_j = -1
-        for j in np.flatnonzero(overlaps[i]).tolist():
-            if taken[j]:
+        for j, (gx0, gy0, gx1, gy1) in enumerate(gt_windows):
+            # only masks whose windows overlap can have a nonzero IoU; empty
+            # windows sit at (0, 0, 0, 0) and so overlap nothing
+            if taken[j] or not (x0 < gx1 and gx0 < x1 and y0 < gy1 and gy0 < y1):
                 continue
             iou = mask_iou(pred_masks[i], gt_masks[j])
             if iou > best_iou:

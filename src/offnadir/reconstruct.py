@@ -8,7 +8,9 @@ and extruded into flat-roofed prisms.
 The OBJ bytes depend on two choices, made alike on every code path:
 
 * The ring is split at the first pair (i, j), i < j, in row-major order
-  whose ``(xi - xj) ** 2 + (yi - yj) ** 2`` is the largest.
+  whose ``(xi - xj) * (xi - xj) + (yi - yj) * (yi - yj)`` is the largest.
+  Products, not ``** 2``: the loop and the numpy pass compute the same
+  IEEE products, whatever libm's ``pow`` does.
 * The cap is clipped one ear at a time. Each step clips the first position
   in ring order whose triangle (previous, this, next) has a positive cross
   product and no other remaining vertex in the closed triangle. Only if
@@ -129,11 +131,11 @@ def simplify_dp(p: Polygon2D, epsilon: float) -> Polygon2D:
         raise ValueError(f"simplification degenerated the polygon: {e}") from e
 
 
-# From this many vertices on, `_farthest_pair` takes its candidate pairs
-# from a numpy pass; the pair chosen is the plain loop's. Measured per call
+# From this many vertices on, `_farthest_pair` finds its pair with a numpy
+# pass; the pair chosen is the plain loop's. Measured per call
 # (best of 15 x 30 calls; 2-vCPU x86-64 VM, CPython 3.11, numpy 2.4): the
-# numpy pass costs 25-40 us up to 24 vertices and overtakes the loop at
-# 17-20 (45 against 125 us at 32).
+# numpy pass costs 22-37 us from 12 to 32 vertices and overtakes the loop
+# at 17-18 (37 against 57 us at 32).
 _FARTHEST_PAIR_MIN_VERTICES = 18
 
 # Elements of one numpy row block: a bound on each temporary array.
@@ -142,22 +144,23 @@ _BLOCK_ELEMENTS = 2**16
 
 def _farthest_pair(verts):
     """(i, j) with i < j: the first pair in row-major order whose
-    (xi - xj) ** 2 + (yi - yj) ** 2 is the largest."""
+    (xi - xj) * (xi - xj) + (yi - yj) * (yi - yj) is the largest."""
     n = len(verts)
+    best, bi, bj = -1.0, 0, 1
     if n < _FARTHEST_PAIR_MIN_VERTICES:
-        _, i, j = _first_farthest(verts, combinations(range(n), 2), (-1.0, 0, 1))
-        return i, j
-    # numpy squares with `d * d`, which differs from `d ** 2` in the last bit
-    # for some floats. So every pair within a relative 1e-12 of the largest
-    # `d * d` seen so far goes to `_first_farthest`: the farthest pair by
-    # `d ** 2`, and any pair tied with it, are among them. The absolute
-    # slack covers squares that underflow. Blocks of rows, in order, hold
-    # at most _BLOCK_ELEMENTS pairs each.
+        for (i, (xi, yi)), (j, (xj, yj)) in combinations(enumerate(verts), 2):
+            dx, dy = xi - xj, yi - yj
+            d = dx * dx + dy * dy
+            if d > best:
+                best, bi, bj = d, i, j
+        return bi, bj
+    # numpy's element-wise products and sums are the loop's, bit for bit.
+    # Blocks of rows, in order, hold at most _BLOCK_ELEMENTS pairs each;
+    # argmax takes a block's first largest in row-major order, and a block
+    # replaces the best so far only if it beats it.
     xy = np.asarray(verts, dtype=float)
     x, y = xy[:, 0], xy[:, 1]
     rows = max(1, _BLOCK_ELEMENTS // n)
-    best = (-1.0, 0, 1)
-    floor = -1.0
     for i0 in range(0, n - 1, rows):
         # rows i0 <= i < i1 against columns j > i0; where j <= i it reads -1
         i1 = min(i0 + rows, n - 1)
@@ -168,24 +171,10 @@ def _farthest_pair(verts):
         d += dy
         k = i1 - i0
         d[:, :k][np.arange(k)[:, None] > np.arange(k)] = -1.0
-        top = float(d.max())
-        floor = max(floor, top - (top * 1e-12 + 2.0**-1060))
-        if top >= floor:
-            ii, jj = np.nonzero(d >= floor)
-            best = _first_farthest(verts, zip((ii + i0).tolist(), (jj + (i0 + 1)).tolist()), best)
-    return best[1], best[2]
-
-
-def _first_farthest(verts, pairs, best):
-    """`best` = (d, i, j), updated by the pairs, in their order, whose
-    (xi - xj) ** 2 + (yi - yj) ** 2 is larger."""
-    for i, j in pairs:
-        xi, yi = verts[i]
-        xj, yj = verts[j]
-        d = (xi - xj) ** 2 + (yi - yj) ** 2
-        if d > best[0]:
-            best = (d, i, j)
-    return best
+        r, c = divmod(int(d.argmax()), d.shape[1])
+        if d[r, c] > best:
+            best, bi, bj = float(d[r, c]), i0 + r, i0 + 1 + c
+    return bi, bj
 
 
 def _ear_clip(verts):
@@ -306,6 +295,8 @@ def export_obj(meshes, path) -> None:
     """Write named meshes as ASCII OBJ with global 1-based indexing.
 
     Output is deterministic: fixed header, %.6f coordinates, LF endings.
+    An object name must be printable ASCII, so that it fits on its `o`
+    line; otherwise nothing is written and the error names the object.
     """
     meshes = list(meshes)
     total_v = sum(len(m.vertices) for _, m in meshes)
@@ -313,6 +304,8 @@ def export_obj(meshes, path) -> None:
     lines = [f"# prism models: {len(meshes)} objects, {total_v} vertices, {total_f} faces"]
     base = 0
     for name, mesh in meshes:
+        if not (name.isascii() and name.isprintable()):
+            raise ValueError(f"object name {name!r} is not printable ASCII")
         lines.append(f"o {name}")
         for x, y, z in mesh.vertices:
             lines.append(f"v {x:.6f} {y:.6f} {z:.6f}")
@@ -348,12 +341,26 @@ def parse_obj(path):
                     raise ValueError(f"line {line_no}: {e}") from e
                 if len(xyz) != 3:
                     raise ValueError(f"line {line_no}: vertex needs 3 coordinates, got {len(xyz)}")
+                if not all(map(math.isfinite, xyz)):
+                    raise ValueError(f"line {line_no}: vertex coordinates must be finite")
                 current[2].append(xyz)
             elif parts[0] == "f":
                 if current is None:
                     raise ValueError(f"line {line_no}: face before any object")
-                idxs = tuple(int(c.split("/")[0]) - 1 - current[1] for c in parts[1:4])
-                current[3].append(idxs)
+                if len(parts) != 4:
+                    raise ValueError(f"line {line_no}: face needs 3 indices, got {len(parts) - 1}")
+                try:
+                    idxs = [int(c.split("/")[0]) for c in parts[1:]]
+                except ValueError as e:
+                    raise ValueError(f"line {line_no}: {e}") from e
+                # global 1-based: the current object's vertices read so far
+                lo, hi = current[1] + 1, current[1] + len(current[2])
+                for idx in idxs:
+                    if not lo <= idx <= hi:
+                        raise ValueError(
+                            f"line {line_no}: face index {idx} out of range [{lo}, {hi}]"
+                        )
+                current[3].append(tuple(idx - lo for idx in idxs))
             else:
                 raise ValueError(f"line {line_no}: unsupported OBJ element {parts[0]!r}")
     if current is not None:

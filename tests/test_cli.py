@@ -348,6 +348,24 @@ def test_reconstruct_cli_skips_coordinates_that_overflow_the_scale(tmp_path, cap
     assert "wrote 0 prism(s)" in err
 
 
+@pytest.mark.parametrize("image_id", ["a\nv 9 9 9\nf 1 2 3", "caf\u00e9"])
+def test_reconstruct_cli_refuses_an_object_name_that_an_obj_line_cannot_hold(
+    tmp_path, capsys, image_id
+):
+    scene = tmp_path / "odd_id.json"
+    scene.write_text(json.dumps({"images": [{
+        "id": image_id, "width": 16, "height": 16,
+        "pose": {"tan_theta": 0.5, "phi": 0.0, "scale_s": 1.0},
+        "instances": [{"footprint": [2, 2, 8, 2, 8, 8, 2, 8], "height": 5.0}],
+    }]}))
+    obj = tmp_path / "out.obj"
+    obj.write_bytes(b"# an earlier output\n")
+    assert run(["reconstruct", "--in", str(scene), "--out", str(obj)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: object name {image_id + '_000'!r} is not printable ASCII" in err
+    assert obj.read_bytes() == b"# an earlier output\n"
+
+
 def test_exit_codes(tmp_path, cfg_path):
     assert run(["bogus-command"]) == 1
     assert run(["synth", "--config", str(cfg_path)]) == 1  # missing --out

@@ -363,10 +363,24 @@ def test_export_parse_export_byte_identical(tmp_path, int_scene_dataset):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# an object of one triangle's vertices, on lines 1-4
+TRI = "o a\nv 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("v 0 0 0\n", "line 1: vertex before any object"),
     ("# header\nf 1 2 3\n", "line 2: face before any object"),
     ("o a\nv 0 0 0\nvn 0 0 1\n", "line 3: unsupported OBJ element 'vn'"),
+    # face lines, checked where they are read, against the global 1-based
+    # indices of the current object's vertices so far
+    (TRI + "f 1 2 3 4\n", "^line 5: face needs 3 indices, got 4$"),
+    (TRI + "f 1 2\n", "^line 5: face needs 3 indices, got 2$"),
+    (TRI + "f 1 x 3\n", re.escape("line 5: invalid literal for int() with base 10: 'x'")),
+    (TRI + "f 1 2 9\n", re.escape("line 5: face index 9 out of range [1, 3]")),
+    (TRI + "f 0 1 2\n", re.escape("line 5: face index 0 out of range [1, 3]")),
+    (TRI + "f -1 -2 -3\n", re.escape("line 5: face index -1 out of range [1, 3]")),
+    (TRI + "f 1 2 3\n" + TRI + "f 4 5 3\n", re.escape("line 10: face index 3 out of range [4, 6]")),
+    (TRI + "f 1 2 3\n" + TRI + "f 4 5 7\n", re.escape("line 10: face index 7 out of range [4, 6]")),
 ])
 def test_parse_obj_errors_name_the_line(tmp_path, text, message):
     path = tmp_path / "bad.obj"
@@ -508,6 +522,8 @@ def test_mesh_triangles_need_three_indices(triangle):
 @pytest.mark.parametrize("vertex, message", [
     ("v 0 0", "line 2: vertex needs 3 coordinates, got 2"),
     ("v 0 x 0", "line 2: could not convert string to float: 'x'"),
+    ("v nan 0 0", "line 2: vertex coordinates must be finite"),
+    ("v inf 0 0", "line 2: vertex coordinates must be finite"),
 ])
 def test_parse_obj_rejects_a_bad_vertex_line_by_number(tmp_path, vertex, message):
     path = tmp_path / "bad.obj"

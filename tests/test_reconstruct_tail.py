@@ -118,7 +118,7 @@ def oracle_simplify_dp(p, epsilon):
         xi, yi = verts[i]
         for j in range(i + 1, n):
             xj, yj = verts[j]
-            d = (xi - xj) ** 2 + (yi - yj) ** 2
+            d = (xi - xj) * (xi - xj) + (yi - yj) * (yi - yj)
             if d > best[0]:
                 best = (d, i, j)
     _, i, j = best
@@ -276,13 +276,24 @@ def test_farthest_pair_ties_keep_the_first_in_row_major_order():
         assert [r.vertices for r in both_paths(simplify_dp, p, 0.0, n=len(p))] == [expected] * 2
 
 
+def test_farthest_pair_ties_across_row_blocks_keep_the_first(monkeypatch):
+    # the numpy pass with one row per block: the rectangle's tied diagonals
+    # (0, 3) and (2, 5) fall in different blocks, and the later block must
+    # not replace the earlier one
+    monkeypatch.setattr(reconstruct, "_FARTHEST_PAIR_MIN_VERTICES", 3)
+    monkeypatch.setattr(reconstruct, "_BLOCK_ELEMENTS", 1)
+    rect = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0)]
+    assert reconstruct._farthest_pair(rect) == (0, 3)
+
+
 def _first_farthest_by(verts, dist):
     pairs = [(i, j) for i in range(len(verts)) for j in range(i + 1, len(verts))]
     return max(pairs, key=lambda ij: (dist(verts[ij[0]], verts[ij[1]]), -ij[0], -ij[1]))
 
 
-def test_farthest_pair_is_chosen_by_the_loops_squares():
-    # quadrilaterals whose diagonals tie by `d * d` but not by `d ** 2`
+def test_farthest_pair_is_chosen_by_products_not_pow():
+    # quadrilaterals whose diagonals tie by `d * d` but not by `d ** 2`:
+    # both paths must choose by the products, whatever libm's pow does
     def by_pow(p, q):
         return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
 
@@ -297,7 +308,7 @@ def test_farthest_pair_is_chosen_by_the_loops_squares():
         if _first_farthest_by(p.vertices, by_pow) != _first_farthest_by(p.vertices, by_mul):
             break
     else:
-        pytest.skip("this libm's pow squares these floats as multiplication does")
+        pytest.skip("no tie found that `** 2` and products break apart on this libm")
     expected = oracle_simplify_dp(p, 0.0).vertices
     assert [r.vertices for r in both_paths(simplify_dp, p, 0.0, n=4)] == [expected] * 2
 
