@@ -18,6 +18,7 @@ from .dataset import (
     DatasetError,
     SupervisionLevel,
     _number,
+    _PendingRings,
     _parse,
     _read_json,
     _write_json,
@@ -26,7 +27,7 @@ from .dataset import (
     save_dataset,
     validate_consistency,
 )
-from .geometry import offset_from_pose, translate_polygon
+from .geometry import _canonical_ring, offset_from_pose
 from .losses import (
     _COMPONENTS, ExternalLossInputs, LevelComponents, LossWeights, hybrid_loss, level_loss,
 )
@@ -144,20 +145,21 @@ def _cmd_footprint(args) -> int:
     dataset = load_dataset(args.input)
     if args.mode == "polygon":
         records = []
-        derived = 0
-        kept = 0
-        for r in dataset.records:
-            instances = []
-            for inst in r.instances:
-                if inst.roof is not None and inst.offset is not None:
-                    instances.append(
-                        replace(inst, footprint=translate_polygon(inst.roof, inst.offset))
-                    )
-                    derived += 1
-                else:
-                    instances.append(inst)
-                    kept += 1
-            records.append(replace(r, instances=tuple(instances)))
+        derived = kept = 0
+        with _PendingRings() as pending:  # translate_polygon(roof, offset), batched
+            for r in dataset.records:
+                instances = []
+                for k, inst in enumerate(r.instances):
+                    if inst.roof is not None and inst.offset is not None:
+                        where = f"image {r.image_id!r}, instance {k}"
+                        ring = ((x + inst.offset.dx, y + inst.offset.dy) for x, y in inst.roof.vertices)
+                        footprint = pending.polygon(_parse(where, _canonical_ring, ring), where)
+                        instances.append(replace(inst, footprint=footprint))
+                        derived += 1
+                    else:
+                        instances.append(inst)
+                        kept += 1
+                records.append(replace(r, instances=tuple(instances)))
         out = Dataset(records=tuple(records), metadata=dict(dataset.metadata), extra=dict(dataset.extra))
         save_dataset(out, args.out)
         print(f"derived {derived} footprint(s), kept {kept} as-is", file=sys.stderr)

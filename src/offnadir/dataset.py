@@ -223,36 +223,49 @@ def _parse(where: str, parse, value):
 
 
 class _PendingRings:
-    """Rings whose simplicity check is deferred, in document order.
+    """Rings whose simplicity check is deferred, in the order they were built.
 
     They are checked together once they reach _BATCH_EDGES edges (one
     kernel chunk), so a non-simple ring raises before much after it is
-    parsed, and the rings held stay bounded.
+    built, and the rings held stay bounded. On leaving a with block, also
+    by an exception, the rest are checked, so the earlier error wins.
     """
 
     def __init__(self):
         self.rings, self.wheres, self.edges = [], [], 0
 
-    def add(self, verts: tuple, where: str) -> None:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, error, tb):
+        if kind is None or issubclass(kind, Exception):
+            self.check()
+
+    def polygon(self, verts: tuple, where) -> Polygon2D:
+        """Polygon over canonical vertices, its simplicity check deferred."""
         self.rings.append(verts)
         self.wheres.append(where)
         self.edges += len(verts)
         if self.edges >= _BATCH_EDGES:
             self.check()
+        return Polygon2D._trusted(verts)
 
     def check(self) -> None:
-        """Raise the DatasetError of the first non-simple pending ring."""
+        """Raise the DatasetError "<where>: <message>" of the first non-simple
+        pending ring, or with where None, the ValueError Polygon2D raises."""
         rings, wheres = self.rings, self.wheres
         self.rings, self.wheres, self.edges = [], [], 0
         found = _first_non_simple(rings)
         if found is not None:
             index, message = found
-            raise DatasetError(f"{wheres[index]}: {message}") from None
+            where = wheres[index]
+            raise (ValueError(message) if where is None
+                   else DatasetError(f"{where}: {message}")) from None
 
 
 def _flat_to_polygon(values, where: str, pending: _PendingRings) -> Polygon2D:
-    """Polygon over canonical vertices; its simplicity check is deferred by
-    adding it to pending (see dataset_from_json)."""
+    """Polygon over canonical vertices; its simplicity check is deferred to
+    pending (see dataset_from_json)."""
     if not isinstance(values, (list, tuple)):
         raise DatasetError(f"{where}: polygon must be a flat coordinate list")
     if len(values) % 2 != 0 or len(values) < 6:
@@ -262,8 +275,7 @@ def _flat_to_polygon(values, where: str, pending: _PendingRings) -> Polygon2D:
     verts = _number(
         where, "coordinate", lambda v: _canonical_ring(zip(v[0::2], v[1::2])), values
     )
-    pending.add(verts, where)
-    return Polygon2D._trusted(verts)
+    return pending.polygon(verts, where)
 
 
 def _polygon_to_flat(p: Polygon2D) -> list:
@@ -383,10 +395,12 @@ def _record_to_json(r: SampleRecord) -> dict:
     return out
 
 
+def _document(d: Dataset, images) -> dict:
+    return {"images": images, "metadata": d.metadata, **d.extra}
+
+
 def dataset_to_json(d: Dataset) -> dict:
-    out = {"images": [_record_to_json(r) for r in d.records], "metadata": d.metadata}
-    out.update(d.extra)
-    return out
+    return _document(d, [_record_to_json(r) for r in d.records])
 
 
 def dataset_from_json(obj) -> Dataset:
@@ -399,19 +413,10 @@ def dataset_from_json(obj) -> Dataset:
     metadata = obj.pop("metadata", {})
     if not isinstance(metadata, dict):
         raise DatasetError('"metadata" must be an object')
-    # Rings are canonicalized in document order and checked for simplicity
-    # in batches (_PendingRings). A non-simple ring would have stopped
-    # loading before anything after it was parsed, so when a later error
-    # occurs the rings still pending are checked first and the earliest wins.
-    pending = _PendingRings()
-    try:
+    # rings are checked in batches; the first error in document order wins
+    with _PendingRings() as pending:
         records = [_record_from_json(o, k, pending) for k, o in enumerate(images)]
-        dataset = Dataset(records=tuple(records), metadata=metadata, extra=obj)
-    except DatasetError:
-        pending.check()
-        raise
-    pending.check()
-    return dataset
+        return Dataset(records=tuple(records), metadata=metadata, extra=obj)
 
 
 def _read_json(path):
@@ -466,6 +471,8 @@ def _dump(obj, f) -> None:
             items = o
         elif isinstance(o, dict):
             items = o.values()
+        elif isinstance(o, SampleRecord):  # save_dataset's: built when reached
+            return walk(_record_to_json(o), depth)
         else:
             pending.append("".join(enc([o], 0))[1:-1])
             return
@@ -506,13 +513,16 @@ def _write_json(obj, path) -> None:
     ASCII-escaped strict JSON with LF line ends; the path "-" means stdout.
 
     A non-finite float (or an int too long for str) is a DatasetError that
-    names the path. Without the _json accelerator, json.dump writes it.
+    names the path. Without the _json accelerator, json.dump writes it. A
+    SampleRecord in obj is written as _record_to_json gives it, which is
+    built only when the writer reaches it.
     """
     with (contextlib.nullcontext(sys.stdout) if path == "-"
           else open(path, "w", encoding="utf-8", newline="\n")) as f:
         try:
             if c_make_encoder is None:
-                json.dump(obj, f, indent=2, allow_nan=False)
+                json.dump(obj, f, indent=2, allow_nan=False, default=lambda o: _record_to_json(o)
+                          if isinstance(o, SampleRecord) else json.JSONEncoder().default(o))
             else:
                 _dump(obj, f)
         except ValueError as e:
@@ -526,8 +536,9 @@ def load_dataset(path) -> Dataset:
 
 
 def save_dataset(d: Dataset, path) -> None:
-    """Write a dataset as JSON; coordinates keep full float precision."""
-    _write_json(dataset_to_json(d), path)
+    """Write dataset_to_json(d) as _write_json does, building and writing one
+    record's JSON at a time; coordinates keep full float precision."""
+    _write_json(_document(d, d.records), path)
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,8 @@ def parse_obj(path):
                 start = 0 if current is None else current[1] + len(current[2])
                 if current is not None:
                     objects.append(current)
-                current = [" ".join(parts[1:]), start, [], []]
+                # the name is the rest of the line after "o ", spaces and all
+                current = [raw.lstrip()[2:].rstrip("\n"), start, [], []]
             elif parts[0] == "v":
                 if current is None:
                     raise ValueError(f"line {line_no}: vertex before any object")
@@ -412,12 +413,12 @@ def reconstruct_dataset(
     for record in sorted(d.records, key=lambda r: r.image_id):
         scale = record.pose.scale_s if record.pose is not None else default_scale_s
         for k, inst in enumerate(record.instances):
-            # BuildingInstance guarantees a footprint or a roof with an offset
-            footprint = inst.footprint
-            if footprint is None:
-                footprint = translate_polygon(inst.roof, inst.offset)
             height = inst.height if inst.height is not None else default_height
             try:
+                # BuildingInstance guarantees a footprint or a roof with an offset
+                footprint = inst.footprint
+                if footprint is None:
+                    footprint = translate_polygon(inst.roof, inst.offset)
                 if height is None:
                     raise ValueError("no height and no default height")
                 if height <= 0:

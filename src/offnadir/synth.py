@@ -25,18 +25,18 @@ from .dataset import (
     SampleRecord,
     SupervisionLevel,
     _is_integer,
+    _PendingRings,
     grade_sample,
     strip_annotations,
 )
 from .geometry import (
     TWO_PI,
     ImagePose,
-    Polygon2D,
     Vec2,
+    _canonical_ring,
     height_from_offset,
     normalize_angle,
     offset_from_pose,
-    translate_polygon,
 )
 from .raster import round_half_away
 
@@ -161,16 +161,16 @@ def _snap_direction(phi: float):
     return a, b
 
 
-def _footprint(box, notch):
+def _footprint(box, notch, pending):
     """Rectangle over box = (x0, y0, x1, y1); with notch = (nx, ny), an L
     shape: its (x1, y1) corner notched out by nx x ny. Either spans box."""
     x0, y0, x1, y1 = box
     if notch is None:
-        return Polygon2D(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
-    nx, ny = notch
-    return Polygon2D(
-        ((x0, y0), (x1, y0), (x1, y1 - ny), (x1 - nx, y1 - ny), (x1 - nx, y1), (x0, y1))
-    )
+        ring = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+    else:
+        nx, ny = notch
+        ring = ((x0, y0), (x1, y0), (x1, y1 - ny), (x1 - nx, y1 - ny), (x1 - nx, y1), (x0, y1))
+    return pending.polygon(_canonical_ring(ring), None)
 
 
 def _separated(a, b) -> bool:
@@ -178,7 +178,7 @@ def _separated(a, b) -> bool:
     return a[0] - 1 > b[2] or b[0] > a[2] + 1 or a[1] - 1 > b[3] or b[1] > a[3] + 1
 
 
-def _build_record(cfg: SynthConfig, index: int) -> SampleRecord:
+def _build_record(cfg: SynthConfig, index: int, pending: _PendingRings) -> SampleRecord:
     rng = np.random.default_rng([cfg.seed, index])
     tan_theta = float(rng.uniform(*cfg.tan_theta_range))
     phi_wanted = float(rng.uniform(*cfg.phi_range))
@@ -226,8 +226,10 @@ def _build_record(cfg: SynthConfig, index: int) -> SampleRecord:
             box = (x0, y0, x0 + w_px, y0 + h_px)
             if all(_separated(box, other) for other in placed):
                 placed.append(box)
-                footprint = _footprint(box, notch)
-                roof = translate_polygon(footprint, -v)
+                footprint = _footprint(box, notch, pending)
+                # translate_polygon(footprint, -v): x - dx is x + (-dx) bit for bit
+                ring = ((x - v.dx, y - v.dy) for x, y in footprint.vertices)
+                roof = pending.polygon(_canonical_ring(ring), None)
                 instances.append(
                     BuildingInstance(footprint=footprint, roof=roof, offset=v, height=h)
                 )
@@ -250,9 +252,11 @@ def generate_scenes(cfg: SynthConfig) -> Dataset:
     """Generate a fully annotated dataset; every record grades OH.
 
     Deterministic in cfg (seed included): each image draws from its own
-    RNG stream keyed by (seed, image index).
+    RNG stream keyed by (seed, image index). Polygons get Polygon2D's checks
+    and errors, their simplicity checked in batches (_PendingRings).
     """
-    records = [_build_record(cfg, i) for i in range(cfg.n_images)]
+    with _PendingRings() as pending:
+        records = [_build_record(cfg, i, pending) for i in range(cfg.n_images)]
     cfg_json = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
     meta = {"generator": "offnadir.synth", "config": cfg_json}
     return Dataset(records=tuple(records), metadata=meta)

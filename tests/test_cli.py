@@ -226,6 +226,24 @@ def test_footprint_cli_polygon_mode_keeps_roofless_instances(tmp_path, scene_pat
     assert load_dataset(out) == load_dataset(stripped)
 
 
+# a roof whose translation by (1, 0) rounds both tiny coordinates away
+UNTRANSLATABLE = {"roof": [0, 0, 1e-17, 0, 0, 1e-17], "offset": [1, 0], "height": 4.0}
+
+
+def test_footprint_cli_polygon_mode_names_an_untranslatable_roof(tmp_path, capsys):
+    scene = tmp_path / "tiny.json"
+    scene.write_text(json.dumps({"images": [
+        {"id": "a", "width": 16, "height": 16,
+         "instances": [{"roof": [2, 2, 8, 2, 8, 8], "offset": [1, 1]}]},
+        {"id": "b", "width": 16, "height": 16,
+         "instances": [{"footprint": [2, 2, 8, 2, 8, 8]}, UNTRANSLATABLE]},
+    ]}))
+    out = tmp_path / "fp.json"
+    assert run(["footprint", "--in", str(scene), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: image 'b', instance 1: polygon has repeated vertices\n"
+    assert not out.exists()
+
+
 def test_footprint_cli_raster_mode(tmp_path, scene_path):
     out = tmp_path / "fp_masks.json"
     assert run(["footprint", "--in", str(scene_path), "--out", str(out), "--mode", "raster"]) == 0
@@ -346,6 +364,23 @@ def test_reconstruct_cli_skips_coordinates_that_overflow_the_scale(tmp_path, cap
     err = capsys.readouterr().err
     assert "skipped image 'a' instance 0: footprint coordinates overflow" in err
     assert "wrote 0 prism(s)" in err
+
+
+def test_reconstruct_cli_skips_an_untranslatable_roof(tmp_path, capsys):
+    scene = tmp_path / "tiny_roof.json"
+    scene.write_text(json.dumps({"images": [{
+        "id": "a", "width": 16, "height": 16,
+        "pose": {"tan_theta": 0.5, "phi": 0.0, "scale_s": 1.0},
+        "instances": [{"footprint": [2, 2, 8, 2, 8, 8, 2, 8], "height": 5.0}, UNTRANSLATABLE,
+                      {"roof": [2, 2, 8, 2, 8, 8], "offset": [1, 1], "height": 2.0}],
+    }]}))
+    obj = tmp_path / "out.obj"
+    assert run(["reconstruct", "--in", str(scene), "--out", str(obj)]) == 0
+    names = [line[2:] for line in obj.read_text().splitlines() if line.startswith("o ")]
+    assert names == ["a_000", "a_002"]
+    err = capsys.readouterr().err
+    assert "skipped image 'a' instance 1: polygon has repeated vertices\n" in err
+    assert "wrote 2 prism(s)" in err and "(1 skipped)" in err
 
 
 @pytest.mark.parametrize("image_id", ["a\nv 9 9 9\nf 1 2 3", "caf\u00e9"])

@@ -3,12 +3,14 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from offnadir import dataset as dataset_module
 from offnadir.cli import run
 from offnadir.dataset import (
     BuildingInstance,
@@ -178,6 +180,40 @@ def test_unknown_keys_preserved(tmp_path):
     path = tmp_path / "extra.json"
     save_dataset(d, path)
     assert dataset_to_json(load_dataset(path)) == out
+
+
+def _saved_datasets(int_scene_dataset):
+    extra = dataset_from_json({
+        "images": [{"id": "a", "width": 32, "height": 32, "tier": [1, {"x": []}],
+                    "pose": {"tan_theta": 0.5, "phi": 1.0, "scale_s": 2.0, "sensor": "s"},
+                    "instances": [{"footprint": [1, 1, 9, 1, 9, 9, 1, 9], "tag": {"k": [2.5]}},
+                                  {"footprint": [11, 1, 19, 1, 19, 9], "note": "\u00e9"}]},
+                   {"id": "b\n", "width": 8, "height": 8, "instances": []}],
+        "metadata": {"source": ["unit", {"test": None}]},
+        "license": "CC0", "z": {},
+    })
+    return [
+        Dataset(),
+        Dataset(metadata={"m": [1, 2]}, extra={"after": {"x": [3]}}),
+        # an extra "images" key replaces the records in dataset_to_json too
+        replace(extra, extra={"images": [0.5], "metadata": "last"}),
+        extra,
+        int_scene_dataset,
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("encoder", ["c", "fallback"])
+def test_save_dataset_writes_json_dumps_of_dataset_to_json(
+    tmp_path, int_scene_dataset, monkeypatch, case, encoder
+):
+    # each record's JSON is built as the writer reaches it, with the same bytes
+    d = _saved_datasets(int_scene_dataset)[case]
+    if encoder == "fallback":
+        monkeypatch.setattr(dataset_module, "c_make_encoder", None)
+    path = tmp_path / "d.json"
+    save_dataset(d, path)
+    assert path.read_bytes() == (json.dumps(dataset_to_json(d), indent=2) + "\n").encode()
 
 
 def test_load_errors_name_the_record(tmp_path):

@@ -363,6 +363,25 @@ def test_export_parse_export_byte_identical(tmp_path, int_scene_dataset):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+_PRISM = extrude_prism(Polygon2D(((0, 0), (1, 0), (1, 1), (0, 1))), 1.0, 1.0)
+_NAMES = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(names=st.lists(
+    _NAMES | st.sampled_from(["", " ", "  ", " a  b ", "o", "# x", "a\\b"]), max_size=3
+))
+def test_object_names_round_trip_byte_for_byte(tmp_path_factory, names):
+    # leading, trailing and repeated spaces, and the empty name, are kept
+    tmp = tmp_path_factory.mktemp("names")
+    p1, p2 = tmp / "a.obj", tmp / "b.obj"
+    export_obj([(name, _PRISM) for name in names], p1)
+    parsed = parse_obj(p1)
+    assert [name for name, _ in parsed] == names
+    export_obj(parsed, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 # an object of one triangle's vertices, on lines 1-4
 TRI = "o a\nv 0 0 0\nv 1 0 0\nv 0 1 0\n"
 

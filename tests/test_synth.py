@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offnadir.dataset import SupervisionLevel, dataset_to_json, grade_sample, validate_consistency
-from offnadir.geometry import estimate_pose
+from offnadir.geometry import Polygon2D, estimate_pose, translate_polygon
 from offnadir.raster import rasterize_polygon
 from offnadir import synth
 from offnadir.synth import (
@@ -289,3 +289,62 @@ def test_synth_config_built_in_python_checks_field_types(key, value):
     # the same check and message as a config file, at construction
     with pytest.raises(ValueError, match=f"^synth config '{key}' must be "):
         SynthConfig(**{**SMALL, key: value})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    size=st.integers(48, 128),
+    counts=st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    height=st.floats(0.0, 15.0),
+    tan_theta=st.floats(0.0, 1.2),
+    scale_s=st.floats(0.25, 2.0),
+    shape_family=st.sampled_from(synth.SHAPE_FAMILIES),
+    integer_offsets=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_synth_polygons_equal_the_checked_constructions(
+    size, counts, height, tan_theta, scale_s, shape_family, integer_offsets, seed
+):
+    # synth builds its rings with the simplicity check deferred; each must be
+    # the polygon the checking constructors give
+    cfg = SynthConfig(image_w=size, image_h=size + 7, n_images=3,
+                      buildings_per_image=(counts[0], sum(counts)),
+                      height_range=(height / 2, height), tan_theta_range=(0.0, tan_theta),
+                      scale_s=scale_s, shape_family=shape_family,
+                      integer_offsets=integer_offsets, seed=seed)
+    try:
+        d = generate_scenes(cfg)
+    except SynthesisError:
+        return
+    for r in d.records:
+        for inst in r.instances:
+            assert inst.footprint == Polygon2D(inst.footprint.vertices)
+            assert inst.roof == translate_polygon(inst.footprint, -inst.offset)
+
+
+# self-intersecting, with nonzero area, inside a 24 px frame
+BOWTIE_L = ((2, 2), (10, 2), (10, 8), (6, 8), (6, 1), (2, 8))
+
+
+@pytest.mark.parametrize("crowded", [False, True])
+@pytest.mark.parametrize("ring", [0, 1])  # the first footprint, the first roof
+def test_non_simple_synth_ring_raises_polygon2d_error_first(monkeypatch, crowded, ring):
+    with pytest.raises(ValueError) as expected:
+        Polygon2D(BOWTIE_L)
+    calls = []
+    original = synth._canonical_ring
+
+    def canonical(vertices):
+        calls.append(None)
+        return original(BOWTIE_L if len(calls) == ring + 1 else vertices)
+
+    # crowded: a later building cannot be placed (SynthesisError); a bad
+    # roof also disagrees with its footprint (DatasetError); either comes
+    # after the ring, so the ring's error wins
+    cfg = SynthConfig(**{**SMALL, "image_w": 24, "image_h": 24, "n_images": 2,
+                         "buildings_per_image": (30, 30) if crowded else (1, 1)})
+    monkeypatch.setattr(synth, "_canonical_ring", canonical)
+    with pytest.raises(ValueError) as got:
+        generate_scenes(cfg)
+    assert type(got.value) is ValueError
+    assert str(got.value) == str(expected.value) == "polygon is not simple (self-intersection)"
