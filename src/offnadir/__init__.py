@@ -5,6 +5,9 @@ the height/offset/pose relation and its inversions, multi-level
 supervision grading and losses, pseudo building bboxes, roof-to-footprint
 mask translation, instance evaluation metrics, a seeded synthetic scene
 generator with exact ground truth, and prism-model export.
+
+No module imports numpy when it is loaded; each function that uses arrays
+imports it itself, so work that needs none starts without it.
 """
 
 __version__ = "0.1.0"

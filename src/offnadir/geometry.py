@@ -13,10 +13,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -281,6 +280,8 @@ def _first_violation(p: np.ndarray):
     the loop's bit for bit, and each _on_segment cross product the loop
     evaluates is one of them.
     """
+    import numpy as np
+
     m, n, _ = p.shape
     # x and y planes of vertices 0..n + 1 (mod n): edge k runs from
     # ext[:, :, k] to ext[:, :, k + 1]
@@ -317,6 +318,8 @@ def _first_crossing(x, y, qx, qy, lox, hix, loy, hiy):
     blocks of rows of i, in order, of at most about _BATCH_PAIRS pairs;
     several rings take one mask, which the caller bounds.
     """
+    import numpy as np
+
     m, n = x.shape
     edges = np.stack((x, y, qx, qy, qx - x, qy - y, lox, hix, loy, hiy)).reshape(10, m * n)
     columns = np.arange(n)
@@ -370,6 +373,10 @@ def _simplicity_message(n: int, first: int) -> str:
     return "polygon is not simple (self-intersection)"
 
 
+def _numpy_loaded() -> bool:
+    return "numpy" in sys.modules
+
+
 def _first_non_simple(rings):
     """Index and message of the first non-simple ring, or None.
 
@@ -378,7 +385,22 @@ def _first_non_simple(rings):
     at most _BATCH_PAIRS edge pairs and _BATCH_EDGES edges (and at least
     one ring) per call; each verdict and message is the one Polygon2D
     would give the ring alone.
+
+    Unless numpy is loaded already or some ring has _BROADCAST_MIN_VERTICES
+    or more, _check_simple runs on each ring in order instead, which gives
+    the same first ring and message. Importing numpy costs 100-150 ms, and
+    the loop about 5 us more per small ring, so the kernel would pay for
+    the import only beyond some 20 000 rings.
     """
+    if not _numpy_loaded() and max(map(len, rings), default=0) < _BROADCAST_MIN_VERTICES:
+        for index, verts in enumerate(rings):
+            try:
+                _check_simple(verts)
+            except ValueError as e:
+                return index, str(e)
+        return None
+    import numpy as np
+
     groups = {}
     for index, verts in enumerate(rings):
         groups.setdefault(len(verts), []).append(index)
@@ -458,6 +480,8 @@ class Polygon2D:
         return p
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.vertices, dtype=float)
 
     def __len__(self) -> int:

@@ -11,8 +11,6 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .dataset import SupervisionLevel
 from .raster import BitMask
 from .geometry import Vec2
@@ -69,6 +67,8 @@ class ExternalLossInputs:
 
 def smooth_l1(pred, gt, beta: float = 1.0) -> float:
     """Mean smooth-L1: quadratic inside |d| < beta, linear outside."""
+    import numpy as np
+
     if not beta > 0:  # false for NaN too
         raise ValueError(f"beta must be > 0, got {beta}")
     p = np.asarray(pred, dtype=float).ravel()
@@ -85,6 +85,8 @@ def smooth_l1(pred, gt, beta: float = 1.0) -> float:
 
 def mask_cross_entropy(pred_prob, gt: BitMask) -> float:
     """Mean binary cross entropy of a probability grid against a mask."""
+    import numpy as np
+
     p = np.asarray(pred_prob, dtype=float)
     if p.shape != (gt.height, gt.width):
         raise ValueError(f"probability grid {p.shape} != mask ({gt.height}, {gt.width})")
@@ -114,6 +116,8 @@ def offset_angle_loss(v_pred: Vec2, v_gt_unit: Vec2, lambda1: float = 0.1) -> fl
 
 
 def _mean_abs_error(pred, gt) -> float:
+    import numpy as np
+
     p = np.asarray(pred, dtype=float)
     g = np.asarray(gt, dtype=float)
     if p.shape != g.shape:
@@ -166,7 +170,8 @@ def level_loss(
 
     N uses the footprint loss alone; H adds the region-proposal loss
     (trained against pseudo bboxes) and the weighted height loss; OH adds
-    the remaining detection losses and both angle losses.
+    the remaining detection losses and both angle losses. Finite components
+    whose weighted sum overflows are a ValueError.
     """
     c = components
     c.require(level, "l_f")
@@ -183,9 +188,15 @@ def level_loss(
             + w.alpha6 * c.l_ona
             + w.alpha7 * c.l_ova
         )
+    if not math.isfinite(total):  # finite components, a sum that overflowed
+        raise ValueError(f"level {level.name} loss is not finite: {total}")
     return total
 
 
 def hybrid_loss(graded, w: LossWeights = LossWeights()) -> float:
-    """Total loss over (level, components) pairs; empty input sums to 0."""
-    return sum(level_loss(level, comps, w) for level, comps in graded)
+    """Total loss over (level, components) pairs; empty input sums to 0.
+    A sum that overflows is a ValueError."""
+    total = sum(level_loss(level, comps, w) for level, comps in graded)
+    if not math.isfinite(total):
+        raise ValueError(f"total hybrid loss is not finite: {total}")
+    return total

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-import numpy as np
-
 from .geometry import Polygon2D, Vec2
 
 
@@ -34,6 +32,8 @@ class BitMask:
     __slots__ = ("width", "height", "x0", "y0", "data")
 
     def __init__(self, width: int, height: int, data: np.ndarray | None = None):
+        import numpy as np
+
         if width < 0 or height < 0:
             raise ValueError(f"mask dimensions must be >= 0, got {width}x{height}")
         if data is None:
@@ -52,6 +52,8 @@ class BitMask:
     def _window(cls, width: int, height: int, x0: int = 0, y0: int = 0, data=None) -> "BitMask":
         """Mask whose window data[0, 0] sits at pixel (x0, y0); the caller
         keeps the window inside the grid. No data means no window."""
+        import numpy as np
+
         m = cls.__new__(cls)
         m.width = width
         m.height = height
@@ -69,10 +71,14 @@ class BitMask:
         return self.x0, self.y0, self.x0 + w, self.y0 + h
 
     def popcount(self) -> int:
+        import numpy as np
+
         return int(np.count_nonzero(self.data))
 
     def overlap(self, other: "BitMask") -> int:
         """Number of pixels set in both masks (ANDs only the shared window)."""
+        import numpy as np
+
         ax0, ay0, ax1, ay1 = self.window
         bx0, by0, bx1, by1 = other.window
         x0, y0 = max(ax0, bx0), max(ay0, by0)
@@ -91,11 +97,15 @@ class BitMask:
 
     def pixels(self) -> set:
         """Set pixels as (i, j) tuples."""
+        import numpy as np
+
         js, iis = np.nonzero(self.data)
         return {(int(i) + self.x0, int(j) + self.y0) for i, j in zip(iis, js)}
 
     def dense(self) -> np.ndarray:
         """The full height x width grid."""
+        import numpy as np
+
         out = np.zeros((self.height, self.width), dtype=bool)
         x0, y0, x1, y1 = self.window
         out[y0:y1, x0:x1] = self.data
@@ -178,6 +188,8 @@ def _centers_before(v, base, n, side):
     its own base >= 0 and n. Exact for v up to 2**52: from 0 on, v - 0.5
     rounds to a value with the same ceiling and floor, and below 0, which
     the clip leaves only when base is 0, every count is 0."""
+    import numpy as np
+
     v = np.clip(v, base - 1.0, base + n + 1.0) - 0.5
     t = np.ceil(v) if side == "left" else np.floor(v) + 1.0
     return np.clip(t.astype(np.int64) - base, 0, n)
@@ -185,11 +197,15 @@ def _centers_before(v, base, n, side):
 
 def _runs(ids, first, n):
     """(id, value) for each id and each value in first:first + n."""
+    import numpy as np
+
     rep = np.repeat(ids, n)
     return rep, np.arange(rep.size) + np.repeat(first - (np.cumsum(n) - n), n)
 
 
 def _rasterize_chunk(rings, grids, n_edges):
+    import numpy as np
+
     counts = np.fromiter(map(len, rings), np.int64, len(rings))
     verts = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), float, 2 * n_edges)
     x1, y1 = verts.reshape(-1, 2).T
@@ -250,6 +266,8 @@ def _pass(x1, y1, x2, y2, poly, r0, r1, rb, c0, c1, boxed, i0, j0, nc, offset, t
     """The window pixels of some polygons, row-major and concatenated, set
     where the center is inside. Edge arrays come first; poly maps each edge
     to its polygon, whose window starts at pixel offset of the result."""
+    import numpy as np
+
     dx, dy = x2 - x1, y2 - y1
     # one entry per (edge, row) crossing, at the edge's x on the row center
     edge, row = _runs(np.arange(r0.size), r0, r1 - r0)
@@ -310,6 +328,8 @@ def translate_mask(m: BitMask, v: Vec2) -> BitMask:
 def mask_to_rle(m: BitMask) -> list[int]:
     """Row-major run lengths over the full grid, starting with the leading
     run of zeros."""
+    import numpy as np
+
     total = m.width * m.height
     if total == 0:
         return []
@@ -335,6 +355,8 @@ def mask_to_rle(m: BitMask) -> list[int]:
 
 def rle_to_mask(runs, width: int, height: int) -> BitMask:
     """Inverse of mask_to_rle."""
+    import numpy as np
+
     total = sum(runs)
     if total != width * height:
         raise ValueError(f"RLE length {total} != {width}x{height}")

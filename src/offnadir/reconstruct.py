@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .dataset import Dataset
 from .geometry import Polygon2D, translate_polygon
 
@@ -154,6 +152,8 @@ def _farthest_pair(verts):
             if d > best:
                 best, bi, bj = d, i, j
         return bi, bj
+    import numpy as np
+
     # numpy's element-wise products and sums are the loop's, bit for bit.
     # Blocks of rows, in order, hold at most _BLOCK_ELEMENTS pairs each;
     # argmax takes a block's first largest in row-major order, and a block

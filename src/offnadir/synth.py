@@ -16,8 +16,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
 from .dataset import (
     BuildingInstance,
     Dataset,
@@ -179,6 +177,8 @@ def _separated(a, b) -> bool:
 
 
 def _build_record(cfg: SynthConfig, index: int, pending: _PendingRings) -> SampleRecord:
+    import numpy as np
+
     rng = np.random.default_rng([cfg.seed, index])
     tan_theta = float(rng.uniform(*cfg.tan_theta_range))
     phi_wanted = float(rng.uniform(*cfg.phi_range))
@@ -270,6 +270,8 @@ def degrade_dataset(d: Dataset, frac_oh: float, frac_h: float, seed: int) -> Dat
     roofs, and heights on the rest. Footprints and image ids are never
     touched. Deterministic per seed.
     """
+    import numpy as np
+
     if not (0.0 <= frac_oh <= 1.0 and 0.0 <= frac_h <= 1.0):
         raise ValueError("fractions must be in [0, 1]")
     if frac_oh + frac_h > 1.0 + 1e-9:

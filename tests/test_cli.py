@@ -294,15 +294,14 @@ def test_loss_cli(tmp_path, capsys):
 
 
 def test_loss_report_that_would_hold_infinity_is_a_data_error(tmp_path, capsys):
-    # each loss is finite, the weighted sums overflow to inf: RFC 8259 has
-    # no token for it, so the report is a data error that names the file
+    # each component is finite, the weighted sum overflows to inf: level_loss
+    # raises before anything is printed, so no report is started
     comp = tmp_path / "components.json"
     comp.write_text(json.dumps([{"level": "H", "l_f": 1e308, "l_h": 1e308, "l_rp": 1e308}]))
     report = tmp_path / "loss.json"
     assert run(["loss", "--components", str(comp), "--report", str(report)]) == 2
-    err = capsys.readouterr().err
-    assert f"error: cannot write {report}: Out of range float values" in err
-    assert "Infinity" not in report.read_text()
+    assert capsys.readouterr() == ("", "error: sample 0: level H loss is not finite: inf\n")
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(
@@ -552,13 +551,21 @@ def test_loss_weight_keys_that_no_function_reads_are_unknown(tmp_path, capsys, k
 
 
 def test_loss_that_overflows_to_infinity_is_a_data_error_without_a_report(tmp_path, capsys):
-    # finite components, weighted sum inf: printed, then exit 2
+    # finite components, weighted sum inf: exit 2 before anything is printed
     comp = tmp_path / "components.json"
     comp.write_text(json.dumps([{"level": "H", "l_f": 1e308, "l_h": 1e308, "l_rp": 1e308}]))
     assert run(["loss", "--components", str(comp)]) == 2
-    out, err = capsys.readouterr()
-    assert out.endswith("total hybrid loss: inf\n")
-    assert err == "error: total hybrid loss is not finite: inf\n"
+    assert capsys.readouterr() == ("", "error: sample 0: level H loss is not finite: inf\n")
+
+
+def test_loss_whose_total_overflows_is_a_data_error_without_a_report(tmp_path, capsys):
+    # each sample's loss is finite, their sum is not
+    comp = tmp_path / "components.json"
+    comp.write_text(json.dumps([{"level": "N", "l_f": 1e308}] * 2))
+    report = tmp_path / "loss.json"
+    assert run(["loss", "--components", str(comp), "--report", str(report)]) == 2
+    assert capsys.readouterr() == ("", "error: total hybrid loss is not finite: inf\n")
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["synth"], 1)])

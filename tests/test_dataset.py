@@ -1,7 +1,10 @@
+import copy
 import json
 import math
+import os
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -26,7 +29,11 @@ from offnadir.dataset import (
     strip_annotations,
     validate_consistency,
 )
-from offnadir.geometry import ImagePose, Polygon2D, Vec2, translate_polygon
+from offnadir.geometry import ImagePose, Polygon2D, Vec2, _canonical_ring, translate_polygon
+from offnadir.synth import SynthConfig, generate_scenes
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import scenes  # noqa: E402  (perfbench/scenes.py)
 
 SQUARE = Polygon2D(((10, 10), (20, 10), (20, 20), (10, 20)))
 
@@ -422,6 +429,43 @@ def test_fuzzed_document_loads_or_raises_dataset_error(data):
         pass  # any other exception fails the test
 
 
+def _city_documents():
+    """A small `city` ground truth and its predictions, as the benchmark
+    makes them: two 96x96 images of five L-shaped buildings."""
+    wl = scenes.WORKLOADS["city"]
+    config = dict(wl.synth, image_w=96, image_h=96, n_images=2, buildings_per_image=[5, 5])
+    gt = dataset_to_json(generate_scenes(SynthConfig(**config, seed=11)))
+    return {"gt": gt, "pred": scenes.predictions(gt, 11)}
+
+
+CITY = _city_documents()
+CITY_PATHS = {name: list(_paths(doc))[1:] for name, doc in CITY.items()}
+DELETE = object()
+HOSTILE = [None, True, False, 0, -1, 0.5, -0.0, 1e308, -1e308, math.nan, math.inf, -math.inf,
+           2**64, 10**400, "", "1", "x", [], [0], [[1, 2]], {}, {"x": 1}]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_city_document_with_one_hostile_value_loads_twice_or_raises_dataset_error(data):
+    # one value set to a hostile value, or deleted; no exception but a
+    # DatasetError may escape, and what loads survives a round trip
+    name = data.draw(st.sampled_from(sorted(CITY)))
+    path = data.draw(st.sampled_from(CITY_PATHS[name]))
+    value = data.draw(st.sampled_from(HOSTILE + [DELETE]))
+    doc = copy.deepcopy(CITY[name])
+    if value is DELETE:
+        del _parent(doc, path)[path[-1]]
+    else:
+        _set(doc, path, value)
+    try:
+        loaded = dataset_from_json(doc)
+    except DatasetError:
+        return
+    text = json.dumps(dataset_to_json(loaded))
+    assert json.dumps(dataset_to_json(dataset_from_json(json.loads(text)))) == text
+
+
 def _parity_ring(rng, n):
     """Integer n-vertex star around (100, 100), often made non-simple: a
     fold-back at an edge midpoint, two swapped vertices, or a moved vertex;
@@ -521,6 +565,51 @@ def test_batched_simplicity_check_matches_per_polygon_loading(batch_pairs, monke
     assert outcomes["polygon has repeated vertices"] >= 10
     assert outcomes["vertex"] >= 10  # outside the allowed frame
     assert preempted >= 50
+
+
+def _canonical_rings(doc):
+    """The document's rings that canonicalize, in document order."""
+    rings = []
+    for image in doc["images"]:
+        for inst in image["instances"]:
+            for key in ("footprint", "roof"):
+                if key in inst:
+                    flat = inst[key]
+                    try:
+                        rings.append(_canonical_ring(zip(flat[0::2], flat[1::2])))
+                    except ValueError:
+                        pass
+    return rings
+
+
+@pytest.mark.parametrize("broadcast_min", [None, 41])
+def test_loop_route_without_numpy_matches_the_kernel_route(broadcast_min, monkeypatch):
+    # numpy is loaded in the test process, so unpatched _first_non_simple
+    # takes the kernel route; with the predicate false it runs _check_simple
+    # ring by ring, unless a ring has _BROADCAST_MIN_VERTICES or more (41:
+    # never, as parity rings have at most 40)
+    from offnadir import geometry
+
+    def first_non_simple_without_numpy(rings):
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_numpy_loaded", lambda: False)
+            if broadcast_min is not None:
+                m.setattr(geometry, "_BROADCAST_MIN_VERTICES", broadcast_min)
+            return geometry._first_non_simple(rings)
+
+    rng = random.Random(5150)
+    found = 0
+    for _ in range(400):
+        doc = _parity_document(rng)
+        rings = _canonical_rings(doc)
+        want = geometry._first_non_simple(rings)
+        assert first_non_simple_without_numpy(rings) == want, doc
+        found += want is not None
+        loaded = _load_outcome(doc)
+        with monkeypatch.context() as m:
+            m.setattr(dataset_module, "_first_non_simple", first_non_simple_without_numpy)
+            assert _load_outcome(doc) == loaded, doc
+    assert found >= 100
 
 
 def test_loader_checks_pending_rings_a_kernel_chunk_at_a_time(monkeypatch):

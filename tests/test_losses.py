@@ -165,6 +165,20 @@ def test_level_loss_missing_components():
         )
 
 
+def test_losses_that_overflow_to_infinity_raise():
+    # every component and weight is finite; only the weighted sums overflow
+    w = LossWeights()
+    big = LevelComponents(l_f=1e308, l_h=1e308, external=ExternalLossInputs(l_rp=1e308))
+    with pytest.raises(ValueError, match=r"^level H loss is not finite: inf$"):
+        level_loss(SupervisionLevel.H, big, w)
+    half = LevelComponents(l_f=1e308)
+    assert level_loss(SupervisionLevel.N, half, w) == 1e308
+    with pytest.raises(ValueError, match=r"^total hybrid loss is not finite: inf$"):
+        hybrid_loss([(SupervisionLevel.N, half)] * 2, w)
+    with pytest.raises(ValueError, match=r"^level H loss is not finite: inf$"):
+        hybrid_loss([(SupervisionLevel.N, half), (SupervisionLevel.H, big)], w)
+
+
 def _random_components(rng):
     return LevelComponents(
         l_f=rng.uniform(0, 5),
