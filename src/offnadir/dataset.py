@@ -93,6 +93,14 @@ class BuildingInstance:
                     f"(> {ROOF_OFFSET_TOL_PX} px)"
                 )
 
+    @classmethod
+    def _trusted(cls, footprint, roof, offset, height) -> "BuildingInstance":
+        """Fully annotated instance whose checks its caller has proven to pass."""
+        inst = object.__new__(cls)
+        vars(inst).update(footprint=footprint, roof=roof, offset=offset, height=height,
+                          score=None, extra={})
+        return inst
+
 
 def grade_instance(inst: BuildingInstance) -> SupervisionLevel:
     """Supervision level of a single instance."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import random
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -75,6 +76,8 @@ class SynthConfig:
             pair = getattr(self, name)
             if not pair[0] <= pair[1]:
                 raise ValueError(f"{name} must be a nonempty [min, max] range, got {pair}")
+            if not _is_number(pair[1] - pair[0]):  # draws scale by max - min
+                raise ValueError(f"{name} must have a finite width max - min, got {pair}")
             object.__setattr__(self, name, tuple(pair))
         if self.buildings_per_image[0] < 0:
             raise ValueError("buildings_per_image must be >= 0")
@@ -176,12 +179,33 @@ def _separated(a, b) -> bool:
     return a[0] - 1 > b[2] or b[0] > a[2] + 1 or a[1] - 1 > b[3] or b[1] > a[3] + 1
 
 
-def _build_record(cfg: SynthConfig, index: int, pending: _PendingRings) -> SampleRecord:
-    import numpy as np
+def _uniform(draw, lo: float, hi: float) -> float:
+    """A float in [lo, hi] from one draw u in [0, 1): lo + (hi - lo) * u."""
+    return lo + (hi - lo) * draw()
 
-    rng = np.random.default_rng([cfg.seed, index])
-    tan_theta = float(rng.uniform(*cfg.tan_theta_range))
-    phi_wanted = float(rng.uniform(*cfg.phi_range))
+
+def _integer(draw, lo: int, hi: int) -> int:
+    """An integer in [lo, hi] from one draw u in [0, 1): lo + int(u * n) with
+    n = hi - lo + 1, capped at hi should u * n round up to n."""
+    n = hi - lo + 1
+    return lo + min(n - 1, int(draw() * n))
+
+
+def _permutation(draw, n: int) -> list:
+    """A permutation of range(n), by a Fisher-Yates shuffle: for i from n - 1
+    down to 1, position i swaps with position _integer(draw, 0, i)."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = _integer(draw, 0, i)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def _build_record(cfg: SynthConfig, index: int, pending: _PendingRings) -> SampleRecord:
+    # a distinct stream per (seed, index), since the seed is below 2**64
+    draw = random.Random((index << 64) | cfg.seed).random
+    tan_theta = _uniform(draw, *cfg.tan_theta_range)
+    phi_wanted = _uniform(draw, *cfg.phi_range)
     lattice = None
     if cfg.integer_offsets and tan_theta > 0.0:
         a, b = _snap_direction(normalize_angle(phi_wanted))
@@ -191,26 +215,35 @@ def _build_record(cfg: SynthConfig, index: int, pending: _PendingRings) -> Sampl
         phi = normalize_angle(phi_wanted)
     pose = ImagePose(tan_theta=tan_theta, phi=phi, scale_s=cfg.scale_s)
 
-    n_buildings = int(rng.integers(cfg.buildings_per_image[0], cfg.buildings_per_image[1] + 1))
+    n_buildings = _integer(draw, *cfg.buildings_per_image)
     side_hi = max(6, min(cfg.image_w, cfg.image_h) // 8)
     placed = []
     instances = []
     for b_idx in range(n_buildings):
         for _ in range(PLACEMENT_RETRIES):
-            h0 = float(rng.uniform(*cfg.height_range))
+            h0 = _uniform(draw, *cfg.height_range)
+            magnitude = h0 * cfg.scale_s * tan_theta  # as offset_from_pose computes it
+            if not math.isfinite(magnitude):
+                raise SynthesisError(f"image {index}: the offset of building {b_idx + 1}/"
+                                     f"{n_buildings} overflows: {h0!r} m * scale_s * "
+                                     f"tan_theta {tan_theta!r} is not finite")
             if tan_theta == 0.0:
                 v = Vec2(0.0, 0.0)
                 h = h0
             elif lattice is not None:
                 la, lb, step = lattice
-                k = max(1, round_half_away(h0 * cfg.scale_s * tan_theta / step))
+                k = max(1, round_half_away(magnitude / step))
                 v = Vec2(float(k * la), float(k * lb))
                 h = height_from_offset(v, pose)
+                if not math.isfinite(h):
+                    raise SynthesisError(f"image {index}: the height of building {b_idx + 1}/"
+                                         f"{n_buildings} overflows: {v.norm()!r} px / "
+                                         f"(scale_s * tan_theta {tan_theta!r}) is not finite")
             else:
                 v = offset_from_pose(h0, pose)
                 h = h0
-            w_px = int(rng.integers(4, side_hi + 1))
-            h_px = int(rng.integers(4, side_hi + 1))
+            w_px = _integer(draw, 4, side_hi)
+            h_px = _integer(draw, 4, side_hi)
             # both footprint and roof (footprint - v) must stay in frame
             x_lo = max(0, math.ceil(v.dx))
             x_hi = min(cfg.image_w - w_px, math.floor(cfg.image_w - w_px + v.dx))
@@ -218,21 +251,24 @@ def _build_record(cfg: SynthConfig, index: int, pending: _PendingRings) -> Sampl
             y_hi = min(cfg.image_h - h_px, math.floor(cfg.image_h - h_px + v.dy))
             if x_lo > x_hi or y_lo > y_hi:
                 continue
-            x0 = int(rng.integers(x_lo, x_hi + 1))
-            y0 = int(rng.integers(y_lo, y_hi + 1))
+            x0 = _integer(draw, x_lo, x_hi)
+            y0 = _integer(draw, y_lo, y_hi)
             notch = None
             if cfg.shape_family == "l_shape":  # drawn for a rejected box too: keeps the RNG stream
-                notch = (int(rng.integers(2, w_px - 1)), int(rng.integers(2, h_px - 1)))
+                notch = (_integer(draw, 2, w_px - 2), _integer(draw, 2, h_px - 2))
             box = (x0, y0, x0 + w_px, y0 + h_px)
             if all(_separated(box, other) for other in placed):
                 placed.append(box)
                 footprint = _footprint(box, notch, pending)
                 # translate_polygon(footprint, -v): x - dx is x + (-dx) bit for bit
-                ring = ((x - v.dx, y - v.dy) for x, y in footprint.vertices)
+                ring = tuple((x - v.dx, y - v.dy) for x, y in footprint.vertices)
                 roof = pending.polygon(_canonical_ring(ring), None)
-                instances.append(
-                    BuildingInstance(footprint=footprint, roof=roof, offset=v, height=h)
-                )
+                # trusted: h is finite and >= 0, and unless _canonical_ring
+                # reversed it, roof is footprint - v vertex by vertex, as
+                # __post_init__ recomputes it (deviation 0)
+                trusted = roof.vertices[0] == ring[0]
+                make = BuildingInstance._trusted if trusted else BuildingInstance
+                instances.append(make(footprint, roof, v, h))
                 break
         else:
             raise SynthesisError(
@@ -251,9 +287,15 @@ def _build_record(cfg: SynthConfig, index: int, pending: _PendingRings) -> Sampl
 def generate_scenes(cfg: SynthConfig) -> Dataset:
     """Generate a fully annotated dataset; every record grades OH.
 
-    Deterministic in cfg (seed included): each image draws from its own
-    RNG stream keyed by (seed, image index). Polygons get Polygon2D's checks
-    and errors, their simplicity checked in batches (_PendingRings).
+    Deterministic in cfg (seed included): image i draws from its own stream,
+    ``random.Random((i << 64) | seed).random()``, distinct per (seed, i)
+    since the seed is below 2**64. Python keeps that stream the same across
+    versions for an int seed (the random module's "Notes on
+    Reproducibility"), so scenes do not depend on the numpy version. A
+    float in [lo, hi] is ``lo + (hi - lo) * u``, an integer in [lo, hi] is
+    ``lo + min(n - 1, int(u * n))`` with ``n = hi - lo + 1``. Polygons get
+    Polygon2D's checks and errors, their simplicity checked in batches
+    (_PendingRings).
     """
     with _PendingRings() as pending:
         records = [_build_record(cfg, i, pending) for i in range(cfg.n_images)]
@@ -268,10 +310,14 @@ def degrade_dataset(d: Dataset, frac_oh: float, frac_h: float, seed: int) -> Dat
     Keeps full annotation on round(frac_oh * n) records, drops offsets
     (and roofs) but keeps heights on round(frac_h * n), and drops offsets,
     roofs, and heights on the rest. Footprints and image ids are never
-    touched. Deterministic per seed.
+    touched. Deterministic per seed, an int >= 0: the records are put in
+    the order of a Fisher-Yates shuffle drawn from
+    ``random.Random(seed).random()`` (for i from n - 1 down to 1, i swaps
+    with an integer in [0, i], drawn as in generate_scenes), and the first
+    records of that order keep OH, the next ones H.
     """
-    import numpy as np
-
+    if seed < 0:  # random.Random would seed from abs(seed)
+        raise ValueError(f"degrade seed must be >= 0, got {seed}")
     if not (0.0 <= frac_oh <= 1.0 and 0.0 <= frac_h <= 1.0):
         raise ValueError("fractions must be in [0, 1]")
     if frac_oh + frac_h > 1.0 + 1e-9:
@@ -282,10 +328,9 @@ def degrade_dataset(d: Dataset, frac_oh: float, frac_h: float, seed: int) -> Dat
     n = len(d.records)
     n_oh = min(n, round_half_away(frac_oh * n))
     n_h = min(n - n_oh, round_half_away(frac_h * n))
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    keep_oh = set(int(i) for i in order[:n_oh])
-    to_h = set(int(i) for i in order[n_oh : n_oh + n_h])
+    order = _permutation(random.Random(seed).random, n)
+    keep_oh = set(order[:n_oh])
+    to_h = set(order[n_oh : n_oh + n_h])
     records = []
     for i, r in enumerate(d.records):
         if i in keep_oh:

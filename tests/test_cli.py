@@ -338,6 +338,20 @@ def test_synth_rejects_wrongly_typed_config(tmp_path, capsys, field, value):
     assert f"error: synth config '{field}' must be " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("changes, message", [
+    (dict(phi_range=[-1.7e308, 1.7e308]), "error: phi_range must have a finite width max - min"),
+    (dict(tan_theta_range=[0.0, 1.7e308]), "error: image 0: the offset of building 1/"),
+], ids=["phi-width", "offset"])
+def test_synth_config_that_overflows_is_a_data_error(tmp_path, capsys, changes, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CFG, **changes}))
+    out = tmp_path / "s.json"
+    assert run(["synth", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_reconstruct_cli_deterministic(tmp_path, scene_path):
     a = tmp_path / "a.obj"
     b = tmp_path / "b.obj"
@@ -419,6 +433,15 @@ def test_degrade_fraction_bounds(tmp_path, scene_path):
              "--frac-oh", "0.8", "--frac-h", "0.8", "--seed", "0"])
         == 2
     )
+
+
+def test_degrade_rejects_a_negative_seed(tmp_path, scene_path, capsys):
+    # random.Random(-1) would seed from abs(-1), the split of seed 1
+    out = tmp_path / "x.json"
+    assert run(["degrade", "--in", str(scene_path), "--out", str(out),
+                "--frac-oh", "0.4", "--frac-h", "0.6", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: degrade seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 GOOD_COMPONENTS = [{"level": "N", "l_f": 0.5}]

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 
+import numpy  # noqa: F401  (loaded in this process, for the in-process runs)
 import pytest
 
 import offnadir
@@ -30,6 +31,9 @@ sys.exit("numpy was imported" if "numpy" in sys.modules else code)
 COMMANDS = {
     "help": ["--help"],
     "version": ["--version"],
+    "synth": ["synth", "--config", "config.json", "--out", "synth.json"],
+    "degrade": ["degrade", "--in", "gt.json", "--out", "degraded.json",
+                "--frac-oh", "0.4", "--frac-h", "0.3", "--seed", "5"],
     "loss": ["loss", "--components", "components.json", "--report", "loss.json"],
     "grade": ["grade", "--in", "gt.json", "--report", "grade.json"],
     "validate": ["validate", "--in", "gt.json", "--report", "validate.json"],
@@ -53,8 +57,9 @@ def _environment() -> dict:
 
 def _inputs(work) -> None:
     work.mkdir()
-    cfg = SynthConfig(image_w=64, image_h=64, n_images=3, buildings_per_image=(1, 3), seed=3)
-    save_dataset(generate_scenes(cfg), work / "gt.json")
+    config = dict(image_w=64, image_h=64, n_images=3, buildings_per_image=[1, 3], seed=3)
+    save_dataset(generate_scenes(SynthConfig(**config)), work / "gt.json")
+    (work / "config.json").write_text(json.dumps({**config, "shape_family": "l_shape"}))
     (work / "components.json").write_text(json.dumps(LOSS_COMPONENTS))
 
 

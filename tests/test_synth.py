@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offnadir.dataset import SupervisionLevel, dataset_to_json, grade_sample, validate_consistency
+from offnadir.dataset import (
+    BuildingInstance,
+    DatasetError,
+    SupervisionLevel,
+    dataset_to_json,
+    grade_sample,
+    validate_consistency,
+)
 from offnadir.geometry import Polygon2D, estimate_pose, translate_polygon
 from offnadir.raster import rasterize_polygon
 from offnadir import synth
@@ -261,8 +268,10 @@ def test_estimate_pose_recovers_synth_pose_property(
     (dict(tan_theta_range=(-0.5, 1.0)), "tan_theta_range must be >= 0"),
     (dict(seed=-1), "seed must be an unsigned 64-bit integer"),
     (dict(seed=2**64), "seed must be an unsigned 64-bit integer"),
+    (dict(phi_range=(-1.7e308, 1.7e308)),
+     "phi_range must have a finite width max - min, got (-1.7e+308, 1.7e+308)"),
 ], ids=["width", "height", "n-images", "buildings", "heights", "tan-theta", "seed-negative",
-        "seed-too-large"])
+        "seed-too-large", "phi-width-overflows"])
 def test_synth_config_rejects_out_of_range_values(changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SynthConfig(**{**SMALL, **changes})
@@ -320,6 +329,8 @@ def test_synth_polygons_equal_the_checked_constructions(
         for inst in r.instances:
             assert inst.footprint == Polygon2D(inst.footprint.vertices)
             assert inst.roof == translate_polygon(inst.footprint, -inst.offset)
+            # synth builds instances trusted; the checking constructor agrees
+            assert inst == BuildingInstance(inst.footprint, inst.roof, inst.offset, inst.height)
 
 
 # self-intersecting, with nonzero area, inside a 24 px frame
@@ -348,3 +359,76 @@ def test_non_simple_synth_ring_raises_polygon2d_error_first(monkeypatch, crowded
         generate_scenes(cfg)
     assert type(got.value) is ValueError
     assert str(got.value) == str(expected.value) == "polygon is not simple (self-intersection)"
+
+
+def test_reversed_synth_roof_takes_the_checked_constructor(monkeypatch):
+    # were _canonical_ring to reverse a roof, synth would not trust it
+    original = synth._canonical_ring
+    calls = []
+
+    def canonical(vertices):
+        calls.append(None)
+        ring = original(vertices)
+        return ring[::-1] if len(calls) == 2 else ring  # the first roof
+
+    monkeypatch.setattr(synth, "_canonical_ring", canonical)
+    with pytest.raises(DatasetError, match=r"^roof deviates from footprint - offset by "):
+        generate_scenes(SynthConfig(**SMALL))
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(tan_theta_range=(0.0, 1.7e308)),
+     r"^image 0: the offset of building 1/\d+ overflows: .* is not finite$"),
+    (dict(tan_theta_range=(0.0, 1.7e308), integer_offsets=False),
+     r"^image 0: the offset of building 1/\d+ overflows: .* is not finite$"),
+    (dict(tan_theta_range=(0.0, 1e-320)),
+     r"^image 0: the height of building 1/\d+ overflows: .* is not finite$"),
+], ids=["offset-on-lattice", "offset", "height"])
+def test_synthesis_error_names_the_image_whose_building_overflows(changes, message):
+    with pytest.raises(SynthesisError, match=message):
+        generate_scenes(SynthConfig(**{**SMALL, **changes}))
+
+
+class _Stream:
+    """draw() returning the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def __call__(self):
+        return self.values.pop(0)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 0), (4, 5), (-3, 7), (2, 2**20), (0, 2**53 - 1), (0, 2**53), (5, 2**60 + 3),
+    (-2**70, 2**70), (0, 10**300),
+])
+def test_integer_draw_from_the_largest_u_stays_within_the_range(lo, hi):
+    top = 1.0 - 2.0**-53  # the largest random.random() value
+    got = synth._integer(_Stream(top), lo, hi)
+    assert lo <= got <= hi
+    if hi - lo < 2**53:  # u * n is then below n, and its floor is n - 1
+        assert got == hi
+    assert synth._integer(_Stream(0.0), lo, hi) == lo
+
+
+def test_uniform_draw_spans_the_range():
+    assert synth._uniform(_Stream(0.0), -1.5, 2.5) == -1.5
+    assert synth._uniform(_Stream(0.5), -1.5, 2.5) == 0.5
+    assert synth._uniform(_Stream(0.25), 3.0, 3.0) == 3.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 257])
+def test_permutation_is_a_fisher_yates_shuffle(n):
+    draw = random.Random(n).random
+    order = synth._permutation(draw, n)
+    assert sorted(order) == list(range(n))
+    # the same swaps, drawn again from the same stream
+    draw, want = random.Random(n).random, list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = min(i, int(draw() * (i + 1)))
+        want[i], want[j] = want[j], want[i]
+    assert order == want
+    # the largest u swaps every position with itself; u = 0 rotates left
+    assert synth._permutation(_Stream(*[1.0 - 2.0**-53] * n), n) == list(range(n))
+    assert synth._permutation(_Stream(*[0.0] * n), n) == list(range(1, n)) + [0] * (n > 0)
