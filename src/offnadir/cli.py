@@ -28,7 +28,7 @@ from .dataset import (
 )
 from .geometry import _canonical_ring, offset_from_pose
 from .losses import (
-    _COMPONENTS, ExternalLossInputs, LevelComponents, LossWeights, hybrid_loss, level_loss,
+    _COMPONENTS, ExternalLossInputs, LevelComponents, LossWeights, _total_loss, level_loss,
 )
 from .metrics import evaluate
 from .pseudobox import DEFAULT_EXPAND_RATIO, pseudo_bbox_level_h, pseudo_bbox_level_n
@@ -241,7 +241,6 @@ def _cmd_loss(args) -> int:
     entries = _read_json(args.components)
     if not isinstance(entries, list):
         raise DatasetError(f"components file {args.components}: must be a JSON array of samples")
-    graded = []
     rows = []
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -264,9 +263,8 @@ def _cmd_loss(args) -> int:
             value = level_loss(level, components, weights)
         except ValueError as e:
             raise DatasetError(f"sample {k}: {e}") from e
-        graded.append((level, components))
         rows.append((k, level.name, value))
-    total = hybrid_loss(graded, weights)
+    total = _total_loss(value for _, _, value in rows)  # hybrid_loss, from the rows
     print(f"{'sample':<8} {'level':<5} loss")
     for k, name, value in rows:
         print(f"{k:<8} {name:<5} {value:.6f}")

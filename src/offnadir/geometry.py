@@ -207,14 +207,14 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
     return False
 
 
-def _check_simple(verts) -> None:
-    """Raise ValueError unless the closed vertex ring is simple.
+def _check_simple(verts):
+    """Row-major index i * n + j of the closed ring's first violating edge
+    pair (i, j), or None when the ring is simple.
 
     Non-adjacent edges must not touch; adjacent edges must not fold back
-    onto each other. Edge pairs are visited in row-major (i, j) order and
-    the first violation sets the message. Edges whose closed bboxes are
-    disjoint cannot touch and are not tested, as in _first_violation, so a
-    rounding error in the orientations cannot make them cross.
+    onto each other. Edges whose closed bboxes are disjoint cannot touch and
+    are not tested, as in _first_violation, so a rounding error in the
+    orientations cannot make them cross.
     """
     n = len(verts)
     boxes = []
@@ -231,17 +231,18 @@ def _check_simple(verts) -> None:
                 # share a2 == b1; the far endpoints must stay off the
                 # neighboring edge
                 if _on_segment(b2, a1, a2) or _on_segment(a1, b1, b2):
-                    raise ValueError("polygon is not simple (edge fold-back)")
+                    return i * n + j
             elif i == 0 and j == n - 1:
                 # share a1 == b2
                 if _on_segment(b1, a1, a2) or _on_segment(a2, b1, b2):
-                    raise ValueError("polygon is not simple (edge fold-back)")
+                    return i * n + j
             else:
                 lxb, hxb, lyb, hyb = boxes[j]
                 if hxa < lxb or hxb < lxa or hya < lyb or hyb < lya:
                     continue
                 if _segments_intersect(a1, a2, b1, b2):
-                    raise ValueError("polygon is not simple (self-intersection)")
+                    return i * n + j
+    return None
 
 
 # From this many vertices on, a single polygon is checked by the kernel
@@ -366,7 +367,7 @@ def _first_crossing(x, y, qx, qy, lox, hix, loy, hiy):
 
 
 def _simplicity_message(n: int, first: int) -> str:
-    """_check_simple's message for the violating pair at row-major index first."""
+    """Message for the violating edge pair at row-major index first."""
     i, j = divmod(first, n)
     if j == i + 1 or (i == 0 and j == n - 1):
         return "polygon is not simple (edge fold-back)"
@@ -381,23 +382,23 @@ def _first_non_simple(rings):
     """Index and message of the first non-simple ring, or None.
 
     ``rings`` is a sequence of canonical vertex tuples (_canonical_ring's
-    results). Rings of equal vertex count go through the kernel together,
-    at most _BATCH_PAIRS edge pairs and _BATCH_EDGES edges (and at least
-    one ring) per call; each verdict and message is the one Polygon2D
-    would give the ring alone.
-
-    Unless numpy is loaded already or some ring has _BROADCAST_MIN_VERTICES
-    or more, _check_simple runs on each ring in order instead, which gives
-    the same first ring and message. Importing numpy costs 100-150 ms, and
-    the loop about 5 us more per small ring, so the kernel would pay for
-    the import only beyond some 20 000 rings.
+    results). This is the one place that chooses how rings are checked, and
+    both routes give the same first ring and message. _check_simple's loop
+    runs on each ring in order when every ring has fewer than
+    _BROADCAST_MIN_VERTICES vertices and there is one ring or numpy is not
+    loaded: importing numpy costs 100-150 ms, and the loop about 5 us more
+    per small ring, so the kernel would pay for the import only beyond some
+    20 000 rings. Otherwise rings of equal vertex count go through the
+    kernel together, at most _BATCH_PAIRS edge pairs and _BATCH_EDGES edges
+    (and at least one ring) per call.
     """
-    if not _numpy_loaded() and max(map(len, rings), default=0) < _BROADCAST_MIN_VERTICES:
+    if max(map(len, rings), default=0) < _BROADCAST_MIN_VERTICES and (
+        len(rings) == 1 or not _numpy_loaded()
+    ):
         for index, verts in enumerate(rings):
-            try:
-                _check_simple(verts)
-            except ValueError as e:
-                return index, str(e)
+            first = _check_simple(verts)
+            if first is not None:
+                return index, _simplicity_message(len(verts), first)
         return None
     import numpy as np
 
@@ -464,12 +465,9 @@ class Polygon2D:
 
     def __post_init__(self):
         verts = _canonical_ring(self.vertices)
-        if len(verts) >= _BROADCAST_MIN_VERTICES:
-            found = _first_non_simple((verts,))
-            if found is not None:
-                raise ValueError(found[1])
-        else:
-            _check_simple(verts)
+        found = _first_non_simple((verts,))
+        if found is not None:
+            raise ValueError(found[1])
         object.__setattr__(self, "vertices", verts)
 
     @classmethod

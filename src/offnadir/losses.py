@@ -196,7 +196,12 @@ def level_loss(
 def hybrid_loss(graded, w: LossWeights = LossWeights()) -> float:
     """Total loss over (level, components) pairs; empty input sums to 0.
     A sum that overflows is a ValueError."""
-    total = sum(level_loss(level, comps, w) for level, comps in graded)
+    return _total_loss(level_loss(level, comps, w) for level, comps in graded)
+
+
+def _total_loss(sample_losses) -> float:
+    """Sum of per-sample losses, in order; a sum that overflows is a ValueError."""
+    total = sum(sample_losses)
     if not math.isfinite(total):
         raise ValueError(f"total hybrid loss is not finite: {total}")
     return total

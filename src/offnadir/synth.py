@@ -234,6 +234,10 @@ def _build_record(cfg: SynthConfig, index: int, pending: _PendingRings) -> Sampl
                 la, lb, step = lattice
                 k = max(1, round_half_away(magnitude / step))
                 v = Vec2(float(k * la), float(k * lb))
+                if cfg.scale_s * tan_theta == 0.0:  # height_from_offset's divisor
+                    raise SynthesisError(f"image {index}: the height of building {b_idx + 1}/"
+                                         f"{n_buildings} is unobservable: scale_s * tan_theta "
+                                         f"{tan_theta!r} underflows to 0")
                 h = height_from_offset(v, pose)
                 if not math.isfinite(h):
                     raise SynthesisError(f"image {index}: the height of building {b_idx + 1}/"

@@ -15,7 +15,7 @@ from offnadir.losses import smooth_l1
 from offnadir.metrics import evaluate, match_instances
 from offnadir.pseudobox import pseudo_bbox_level_n
 from offnadir.reconstruct import reconstruct_dataset, simplify_chain, simplify_dp
-from offnadir.synth import SynthConfig
+from offnadir.synth import SynthConfig, degrade_dataset
 
 CFG = dict(
     image_w=96,
@@ -293,6 +293,26 @@ def test_loss_cli(tmp_path, capsys):
     assert data["samples"][1]["loss"] == pytest.approx(3.9, abs=1e-12)
 
 
+def test_loss_computes_each_sample_once(tmp_path, monkeypatch, capsys):
+    from offnadir import cli, losses
+
+    calls = []
+    original = losses.level_loss
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    # the CLI's own name and the one hybrid_loss would call
+    monkeypatch.setattr(cli, "level_loss", counted)
+    monkeypatch.setattr(losses, "level_loss", counted)
+    comp = tmp_path / "components.json"
+    comp.write_text(json.dumps([{"level": "N", "l_f": 0.5}] * 3))
+    assert run(["loss", "--components", str(comp)]) == 0
+    assert capsys.readouterr().out.endswith("total hybrid loss: 1.500000\n")
+    assert len(calls) == 3
+
+
 def test_loss_report_that_would_hold_infinity_is_a_data_error(tmp_path, capsys):
     # each component is finite, the weighted sum overflows to inf: level_loss
     # raises before anything is printed, so no report is started
@@ -534,6 +554,7 @@ NAN = math.nan
          ["reconstruct", "--in", "{scene}", "--out", "{out}", "--epsilon", "nan"]),
         ("epsilon", lambda d: simplify_dp(SQUARE, NAN), None),
         ("epsilon", lambda d: simplify_chain([(0.0, 0.0), (1.0, 1.0)], NAN), None),
+        ("chain needs at least 2 points", lambda d: simplify_chain([(0.0, 0.0)], 0.5), None),
         ("default_height", lambda d: reconstruct_dataset(d, default_height=NAN),
          ["reconstruct", "--in", "{scene}", "--out", "{out}", "--default-height", "nan"]),
         ("default_scale_s", lambda d: reconstruct_dataset(d, default_scale_s=math.inf),
@@ -546,10 +567,14 @@ NAN = math.nan
         ("scale_s", lambda d: SynthConfig(scale_s=NAN), None),
         ("height_range", lambda d: SynthConfig(height_range=(NAN, 3.0)), None),
         ("phi_range", lambda d: SynthConfig(phi_range=(0.0, math.inf)), None),
+        ("fractions must be in", lambda d: degrade_dataset(d, NAN, 0.0, seed=0),
+         ["degrade", "--in", "{scene}", "--out", "{out}", "--frac-oh", "nan", "--frac-h", "0",
+          "--seed", "0"]),
     ],
     ids=["eval-iou-nan", "eval-iou-2", "match-iou", "reconstruct-epsilon", "simplify-dp",
-         "simplify-chain", "default-height", "default-scale", "validate-tol", "pbc-expand-ratio",
-         "smooth-l1-beta", "synth-scale", "synth-height-range", "synth-phi-range"],
+         "simplify-chain", "simplify-chain-short", "default-height", "default-scale",
+         "validate-tol", "pbc-expand-ratio", "smooth-l1-beta", "synth-scale",
+         "synth-height-range", "synth-phi-range", "degrade-fraction"],
 )
 def test_parameter_checks_reject_nan_and_out_of_range(
     tmp_path, scene_path, capsys, name, call, argv

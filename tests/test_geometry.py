@@ -457,6 +457,34 @@ def test_disjoint_edges_never_cross_by_rounding(monkeypatch):
     assert dataset_from_json(doc).records[0].instances[0].footprint.vertices == v
 
 
+def _regular(n):
+    return geometry._canonical_ring(
+        (math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n))
+
+
+@pytest.mark.parametrize("sizes, numpy_loaded, route", [
+    ((6,), True, "loop"),
+    ((6,), False, "loop"),
+    ((16,), True, "kernel"),
+    ((16,), False, "kernel"),
+    ((6, 6), True, "kernel"),
+    ((6, 6), False, "loop"),
+    ((6, 16), False, "kernel"),
+])
+def test_simplicity_route_table(sizes, numpy_loaded, route, monkeypatch):
+    # _first_non_simple alone picks the route, for batches and for Polygon2D
+    # (one ring); a new route or threshold has to change this table on purpose
+    kernel = []
+    original = geometry._first_violation
+    monkeypatch.setattr(geometry, "_first_violation", lambda p: kernel.append(p) or original(p))
+    monkeypatch.setattr(geometry, "_numpy_loaded", lambda: numpy_loaded)
+    rings = tuple(_regular(n) for n in sizes)
+    assert geometry._first_non_simple(rings) is None
+    if len(rings) == 1:
+        assert Polygon2D(rings[0]).vertices == rings[0]
+    assert ("kernel" if kernel else "loop") == route
+
+
 def test_huge_ring_checked_in_bounded_memory():
     import tracemalloc
 

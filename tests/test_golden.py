@@ -2,11 +2,12 @@
 
 Every output and report of ``perfbench/run.py:pipeline`` (synth, degrade,
 both pbc levels, both footprint modes, grade, validate, eval, reconstruct),
-plus one ``loss`` run, is hashed and compared with a committed table. The
-scenes are the benchmark's workloads with fewer and smaller images; the
-commands are the same. A change that moves one byte of any output fails
-here. When a change alters output bytes on purpose, update the table and
-say in CHANGES.md which files changed and why.
+plus one ``loss`` run and one ``reconstruct`` of the stars ground truth, is
+hashed and compared with a committed table. The scenes are the benchmark's
+workloads with fewer and smaller images; the commands are the same. A
+change that moves one byte of any output fails here. When a change alters
+output bytes on purpose, update the table and say in CHANGES.md which files
+changed and why.
 
 Run with ``PYTHONHASHSEED`` set to any value: an output that depends on set
 or hash order then shows as a digest mismatch.
@@ -17,6 +18,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -142,6 +144,13 @@ GOLDEN = {
         "validate.json":
             "d9fb5365751b2b32153b4c56734da62add03f4725b15730f26349aa8c23d3039",
     },
+    # reconstruct --in gt.json on the reduced stars scene: its one image
+    # grades N after degrade, so the pipeline's meshes.obj above holds no
+    # star, while this one runs every star through simplify_dp and the ear clip
+    "stars_gt": {
+        "meshes.obj":
+            "6e81440f31998d0bba313e36f2afc7e69265c87cfa9a54b27b58df4b5f98c807",
+    },
     "loss": {
         "loss.json":
             "1107afbac9a11b0f6db6cd79257c03175f902b1b63efb081793b27ef77c322a6",
@@ -163,6 +172,16 @@ def _cli(argv) -> tuple:
     return rc, out.getvalue()
 
 
+def _derive_inputs(work: str, wl: scenes.Workload) -> None:
+    """gt.json and pred.json from synth's output, as the benchmark derives them."""
+    synth = scenes.load(os.path.join(work, "synth.json"))
+    gt = dict(synth, images=synth["images"][:wl.images])
+    if wl.stars:
+        gt = scenes.starify(gt, SEED)
+    scenes.save(gt, os.path.join(work, "gt.json"))
+    scenes.save(scenes.predictions(gt, SEED), os.path.join(work, "pred.json"))
+
+
 def _pipeline_digests(work: str, wl: scenes.Workload) -> dict:
     """sha256 of every output file and of each command's stdout."""
     scenes.save(scenes.synth_config(wl, SEED), os.path.join(work, "config.json"))
@@ -170,12 +189,7 @@ def _pipeline_digests(work: str, wl: scenes.Workload) -> dict:
     digests = {}
     for k, (stage, argv) in enumerate(commands):
         if k == 1:  # the benchmark derives its inputs from synth's output
-            synth = scenes.load(os.path.join(work, "synth.json"))
-            gt = dict(synth, images=synth["images"][:wl.images])
-            if wl.stars:
-                gt = scenes.starify(gt, SEED)
-            scenes.save(gt, os.path.join(work, "gt.json"))
-            scenes.save(scenes.predictions(gt, SEED), os.path.join(work, "pred.json"))
+            _derive_inputs(work, wl)
         rc, out = _cli(argv)
         assert rc == 0, (stage, argv)
         if out:
@@ -188,6 +202,21 @@ def _pipeline_digests(work: str, wl: scenes.Workload) -> dict:
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_pipeline_outputs_match_golden_digests(tmp_path, name):
     assert _pipeline_digests(str(tmp_path), WORKLOADS[name]) == GOLDEN[name]
+
+
+def test_star_ground_truth_meshes_match_golden_digest(tmp_path):
+    work = str(tmp_path)
+    scenes.save(scenes.synth_config(WORKLOADS["stars"], SEED), os.path.join(work, "config.json"))
+    stage, argv = bench.pipeline(work, SEED)[0]
+    assert stage == "synth" and _cli(argv)[0] == 0
+    _derive_inputs(work, WORKLOADS["stars"])
+    obj = os.path.join(work, "meshes.obj")
+    argv = ["reconstruct", "--in", os.path.join(work, "gt.json"), "--out", obj, "--epsilon", "0.25"]
+    assert _cli(argv)[0] == 0
+    with open(obj, encoding="utf-8") as f:
+        header = re.match(r"# prism models: (\d+) objects, ", f.readline())
+    assert int(header.group(1)) > 0
+    assert {"meshes.obj": _sha(obj)} == GOLDEN["stars_gt"]
 
 
 def test_loss_report_matches_golden_digest(tmp_path):

@@ -270,8 +270,10 @@ def test_estimate_pose_recovers_synth_pose_property(
     (dict(seed=2**64), "seed must be an unsigned 64-bit integer"),
     (dict(phi_range=(-1.7e308, 1.7e308)),
      "phi_range must have a finite width max - min, got (-1.7e+308, 1.7e+308)"),
+    (dict(scale_s=0), "scale_s must be finite and > 0, got 0"),
+    (dict(scale_s=-0.5), "scale_s must be finite and > 0, got -0.5"),
 ], ids=["width", "height", "n-images", "buildings", "heights", "tan-theta", "seed-negative",
-        "seed-too-large", "phi-width-overflows"])
+        "seed-too-large", "phi-width-overflows", "scale-zero", "scale-negative"])
 def test_synth_config_rejects_out_of_range_values(changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SynthConfig(**{**SMALL, **changes})
@@ -383,7 +385,10 @@ def test_reversed_synth_roof_takes_the_checked_constructor(monkeypatch):
      r"^image 0: the offset of building 1/\d+ overflows: .* is not finite$"),
     (dict(tan_theta_range=(0.0, 1e-320)),
      r"^image 0: the height of building 1/\d+ overflows: .* is not finite$"),
-], ids=["offset-on-lattice", "offset", "height"])
+    (dict(tan_theta_range=(0.0, 5e-324), scale_s=0.5, seed=2),
+     r"^image 0: the height of building 1/\d+ is unobservable: "
+     r"scale_s \* tan_theta 5e-324 underflows to 0$"),
+], ids=["offset-on-lattice", "offset", "height", "height-underflow"])
 def test_synthesis_error_names_the_image_whose_building_overflows(changes, message):
     with pytest.raises(SynthesisError, match=message):
         generate_scenes(SynthConfig(**{**SMALL, **changes}))
