@@ -132,8 +132,11 @@ def _cmd_pbc(args) -> int:
                     raise DatasetError(
                         f"image {r.image_id!r}, instance {k}: height required for level h"
                     )
-                v = offset_from_pose(inst.height, r.pose)
-                box = pseudo_bbox_level_h(inst.footprint, v, r.width, r.height)
+                try:  # an offset beyond float range, or a box outside the image
+                    v = offset_from_pose(inst.height, r.pose)
+                    box = pseudo_bbox_level_h(inst.footprint, v, r.width, r.height)
+                except ValueError as e:
+                    raise DatasetError(f"image {r.image_id!r}, instance {k}: {e}") from e
             boxes.append([box.x_min, box.y_min, box.x_max, box.y_max])
         images.append({"id": r.image_id, "boxes": boxes})
     _write_json({"images": images}, args.out)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .geometry import (
-    _BATCH_EDGES, TWO_PI, ImagePose, Polygon2D, Vec2, _canonical_ring, _first_non_simple,
+    _BATCH_EDGES, TWO_PI, ImagePose, Polygon2D, Vec2, _canonical_flat, _first_non_simple,
 )
 
 ROOF_OFFSET_TOL_PX = 1e-6
@@ -66,40 +66,49 @@ class BuildingInstance:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.footprint is None and not (self.roof is not None and self.offset is not None):
-            raise DatasetError("instance needs a footprint or both roof and offset")
-        if self.height is not None:
-            if type(self.height) is bool or not (math.isfinite(self.height) and self.height >= 0):
-                raise DatasetError(f"height must be finite and >= 0, got {self.height!r}")
-        if self.score is not None:
-            if type(self.score) is bool or not (math.isfinite(self.score) and 0 <= self.score <= 1):
-                raise DatasetError(f"score must be in [0, 1], got {self.score!r}")
-        if self.footprint is not None and self.roof is not None and self.offset is not None:
-            # footprint - offset without building a throwaway polygon; x - dx
-            # is translate_polygon's x + (-dx) bit for bit
-            dx, dy = self.offset.dx, self.offset.dy
-            got = self.roof.vertices
-            fp = self.footprint.vertices
-            if len(got) != len(fp):
-                raise DatasetError(
-                    f"roof has {len(got)} vertices but footprint - offset has {len(fp)}"
-                )
-            dev = max(
-                max(abs(gx - (x - dx)), abs(gy - (y - dy))) for (gx, gy), (x, y) in zip(got, fp)
-            )
-            if dev > ROOF_OFFSET_TOL_PX:
-                raise DatasetError(
-                    f"roof deviates from footprint - offset by {dev:.3g} px "
-                    f"(> {ROOF_OFFSET_TOL_PX} px)"
-                )
+        _check_instance(self.footprint, self.roof, self.offset, self.height, self.score)
 
     @classmethod
-    def _trusted(cls, footprint, roof, offset, height) -> "BuildingInstance":
-        """Fully annotated instance whose checks its caller has proven to pass."""
+    def _trusted(cls, footprint, roof, offset, height, score, extra) -> "BuildingInstance":
+        """Instance whose checks its caller has proven to pass."""
         inst = object.__new__(cls)
         vars(inst).update(footprint=footprint, roof=roof, offset=offset, height=height,
-                          score=None, extra={})
+                          score=score, extra=extra)
         return inst
+
+
+def _check_instance(footprint, roof, offset, height, score) -> None:
+    """Raise the DatasetError of the first BuildingInstance invariant these
+    fields break; the constructor and the loader both check through here."""
+    if footprint is None and (roof is None or offset is None):
+        raise DatasetError("instance needs a footprint or both roof and offset")
+    if height is not None:
+        if type(height) is bool or not (math.isfinite(height) and height >= 0):
+            raise DatasetError(f"height must be finite and >= 0, got {height!r}")
+    if score is not None:
+        if type(score) is bool or not (math.isfinite(score) and 0 <= score <= 1):
+            raise DatasetError(f"score must be in [0, 1], got {score!r}")
+    if footprint is not None and roof is not None and offset is not None:
+        # footprint - offset without building a throwaway polygon; x - dx
+        # is translate_polygon's x + (-dx) bit for bit
+        dx, dy = offset.dx, offset.dy
+        got, fp = roof.vertices, footprint.vertices
+        if len(got) != len(fp):
+            raise DatasetError(
+                f"roof has {len(got)} vertices but footprint - offset has {len(fp)}"
+            )
+        dev = 0.0
+        for (gx, gy), (x, y) in zip(got, fp):
+            ex, ey = abs(gx - (x - dx)), abs(gy - (y - dy))
+            if ex > dev:
+                dev = ex
+            if ey > dev:
+                dev = ey
+        if dev > ROOF_OFFSET_TOL_PX:
+            raise DatasetError(
+                f"roof deviates from footprint - offset by {dev:.3g} px "
+                f"(> {ROOF_OFFSET_TOL_PX} px)"
+            )
 
 
 def grade_instance(inst: BuildingInstance) -> SupervisionLevel:
@@ -127,9 +136,13 @@ def _number(where: str, what: str, convert, value):
 
     Converting first keeps the message of every value convert rejects; a
     list reaches the type pass only when convert accepted it, a scalar only
-    when float() did, which no list passes.
+    when float() did, which no list passes. Each value is converted and
+    type-checked once, here.
     """
-    out = _parse(where, convert, value)
+    try:
+        out = convert(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise DatasetError(f"{where}: {e}") from e
     if isinstance(value, (list, tuple)):
         if _NOT_NUMBERS.isdisjoint(map(type, value)):
             return out
@@ -280,10 +293,7 @@ def _flat_to_polygon(values, where: str, pending: _PendingRings) -> Polygon2D:
         raise DatasetError(
             f"{where}: polygon needs an even number of >= 6 coordinates, got {len(values)}"
         )
-    verts = _number(
-        where, "coordinate", lambda v: _canonical_ring(zip(v[0::2], v[1::2])), values
-    )
-    return pending.polygon(verts, where)
+    return pending.polygon(_number(where, "coordinate", _canonical_flat, values), where)
 
 
 def _polygon_to_flat(p: Polygon2D) -> list:
@@ -312,16 +322,11 @@ def _instance_from_json(obj, where: str, pending: _PendingRings) -> BuildingInst
     height = None if height is None else _number(where, "height", float, height)
     score = None if score is None else _number(where, "score", float, score)
     try:
-        return BuildingInstance(
-            footprint=footprint,
-            roof=roof,
-            offset=offset,
-            height=height,
-            score=score,
-            extra=obj,
-        )
+        _check_instance(footprint, roof, offset, height, score)
     except DatasetError as e:
         raise DatasetError(f"{where}: {e}") from e
+    # trusted: _check_instance has just passed on these fields
+    return BuildingInstance._trusted(footprint, roof, offset, height, score, obj)
 
 
 def _instance_to_json(inst: BuildingInstance) -> dict:

@@ -217,32 +217,32 @@ def _check_simple(verts):
     orientations cannot make them cross.
     """
     n = len(verts)
+    nxt = verts[1:] + verts[:1]
+    first = n * n
     boxes = []
-    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
-        lx, hx = (ax, bx) if ax <= bx else (bx, ax)
-        ly, hy = (ay, by) if ay <= by else (by, ay)
+    (ax, ay), (bx, by) = verts[-1], verts[0]
+    for i, (cx, cy) in enumerate(nxt):
+        # edges i - 1 = a b and i = b c share b: c must stay off a b and a
+        # off b c, which needs a cross product of 0 first
+        if (((bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0.0
+                and _on_segment((cx, cy), (ax, ay), (bx, by)))
+                or ((cx - bx) * (ay - by) - (cy - by) * (ax - bx) == 0.0
+                    and _on_segment((ax, ay), (bx, by), (cx, cy)))):
+            first = min(first, (i - 1) * n + i if i else n - 1)  # i = 0: the pair (0, n - 1)
+        lx, hx = (bx, cx) if bx <= cx else (cx, bx)
+        ly, hy = (by, cy) if by <= cy else (cy, by)
         boxes.append((lx, hx, ly, hy))
-    for i in range(n):
-        a1, a2 = verts[i], verts[(i + 1) % n]
+        ax, ay, bx, by = bx, by, cx, cy
+    # the pairs that share no vertex, in row-major order
+    for i in range(n - 2):
         lxa, hxa, lya, hya = boxes[i]
-        for j in range(i + 1, n):
-            b1, b2 = verts[j], verts[(j + 1) % n]
-            if j == i + 1:
-                # share a2 == b1; the far endpoints must stay off the
-                # neighboring edge
-                if _on_segment(b2, a1, a2) or _on_segment(a1, b1, b2):
-                    return i * n + j
-            elif i == 0 and j == n - 1:
-                # share a1 == b2
-                if _on_segment(b1, a1, a2) or _on_segment(a2, b1, b2):
-                    return i * n + j
-            else:
-                lxb, hxb, lyb, hyb = boxes[j]
-                if hxa < lxb or hxb < lxa or hya < lyb or hyb < lya:
-                    continue
-                if _segments_intersect(a1, a2, b1, b2):
-                    return i * n + j
-    return None
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            lxb, hxb, lyb, hyb = boxes[j]
+            if hxa < lxb or hxb < lxa or hya < lyb or hyb < lya:
+                continue
+            if _segments_intersect(verts[i], nxt[i], verts[j], nxt[j]):
+                return min(first, i * n + j)
+    return first if first < n * n else None
 
 
 # From this many vertices on, a single polygon is checked by the kernel
@@ -386,11 +386,11 @@ def _first_non_simple(rings):
     both routes give the same first ring and message. _check_simple's loop
     runs on each ring in order when every ring has fewer than
     _BROADCAST_MIN_VERTICES vertices and there is one ring or numpy is not
-    loaded: importing numpy costs 100-150 ms, and the loop about 5 us more
-    per small ring, so the kernel would pay for the import only beyond some
-    20 000 rings. Otherwise rings of equal vertex count go through the
-    kernel together, at most _BATCH_PAIRS edge pairs and _BATCH_EDGES edges
-    (and at least one ring) per call.
+    loaded: importing numpy costs 100-150 ms, and the loop about 1 us more
+    per 4-vertex ring (2.3 against 1.1 us), so the kernel would pay for the
+    import only beyond some 100 000 rings. Otherwise rings of equal vertex
+    count go through the kernel together, at most _BATCH_PAIRS edge pairs
+    and _BATCH_EDGES edges (and at least one ring) per call.
     """
     if max(map(len, rings), default=0) < _BROADCAST_MIN_VERTICES and (
         len(rings) == 1 or not _numpy_loaded()
@@ -432,7 +432,18 @@ def _canonical_ring(vertices) -> tuple:
     finite or lies beyond +-2**500, a repeated vertex, or zero area.
     Simplicity is not checked here.
     """
-    verts = tuple((float(x), float(y)) for x, y in vertices)
+    return _canonical(tuple((float(x), float(y)) for x, y in vertices))
+
+
+def _canonical_flat(values) -> tuple:
+    """_canonical_ring of the pairs of a flat coordinate list of even
+    length, each coordinate converted once, in list order."""
+    it = map(float, values)
+    return _canonical(tuple(zip(it, it)))
+
+
+def _canonical(verts: tuple) -> tuple:
+    # _canonical_ring's checks, on a tuple of float pairs
     if len(verts) < 3:
         raise ValueError(f"polygon needs >= 3 vertices, got {len(verts)}")
     for x, y in verts:

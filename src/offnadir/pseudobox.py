@@ -7,6 +7,8 @@ no height either, by enlarging the footprint box by a margin.
 
 from __future__ import annotations
 
+import sys
+
 from .geometry import (
     BBox,
     ImagePose,
@@ -19,6 +21,12 @@ from .geometry import (
 )
 
 DEFAULT_EXPAND_RATIO = 0.1
+
+
+def _extent(size: int) -> float:
+    # an image too large for a float reaches past every finite coordinate,
+    # so clipping to the largest float clips nothing it would not
+    return float(min(size, sys.float_info.max))
 
 
 def pseudo_offset(
@@ -42,7 +50,7 @@ def pseudo_bbox_level_h(
     dx, dy = -v.dx, -v.dy
     roof_est = BBox(b.x_min + dx, b.y_min + dy, b.x_max + dx, b.y_max + dy)
     box = bbox_union(b, roof_est)
-    clipped = bbox_intersection(box, BBox(0.0, 0.0, float(image_w), float(image_h)))
+    clipped = bbox_intersection(box, BBox(0.0, 0.0, _extent(image_w), _extent(image_h)))
     if clipped is None:
         raise ValueError("pseudo bbox is empty after clipping to the image")
     return clipped
@@ -62,8 +70,9 @@ def pseudo_bbox_level_n(
     x_min, x_max = box.x_min - mx, box.x_max + mx
     y_min, y_max = box.y_min - my, box.y_max + my
     # clamp instead of intersect: this path never errors
-    x_min = min(max(x_min, 0.0), float(image_w))
-    x_max = min(max(x_max, 0.0), float(image_w))
-    y_min = min(max(y_min, 0.0), float(image_h))
-    y_max = min(max(y_max, 0.0), float(image_h))
+    w, h = _extent(image_w), _extent(image_h)
+    x_min = min(max(x_min, 0.0), w)
+    x_max = min(max(x_max, 0.0), w)
+    y_min = min(max(y_min, 0.0), h)
+    y_max = min(max(y_max, 0.0), h)
     return BBox(x_min, y_min, x_max, y_max)

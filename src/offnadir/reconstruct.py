@@ -50,6 +50,13 @@ class Mesh3D:
                 if not 0 <= idx < n:
                     raise ValueError(f"triangle index {idx} out of range [0, {n})")
 
+    @classmethod
+    def _trusted(cls, vertices: tuple, triangles: tuple) -> "Mesh3D":
+        """Mesh whose indices its caller has proven to be valid."""
+        m = object.__new__(cls)
+        vars(m).update(vertices=vertices, triangles=triangles)
+        return m
+
 
 def _check_epsilon(epsilon) -> None:
     if not epsilon >= 0:  # false for NaN too
@@ -256,7 +263,8 @@ def extrude_prism(footprint: Polygon2D, h: float, scale_s: float) -> Mesh3D:
         i2 = (i + 1) % n
         triangles.append((i, i2, n + i2))
         triangles.append((i, n + i2, n + i))
-    return Mesh3D(vertices=tuple(vertices), triangles=tuple(triangles))
+    # trusted: every triangle is 3 ints from range(n) or n + range(n), and there are 2n vertices
+    return Mesh3D._trusted(tuple(vertices), tuple(triangles))
 
 
 def mesh_volume(m: Mesh3D) -> float:

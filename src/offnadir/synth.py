@@ -26,7 +26,6 @@ from .dataset import (
     _is_integer,
     _PendingRings,
     grade_sample,
-    strip_annotations,
 )
 from .geometry import (
     TWO_PI,
@@ -272,7 +271,7 @@ def _build_record(cfg: SynthConfig, index: int, pending: _PendingRings) -> Sampl
                 # __post_init__ recomputes it (deviation 0)
                 trusted = roof.vertices[0] == ring[0]
                 make = BuildingInstance._trusted if trusted else BuildingInstance
-                instances.append(make(footprint, roof, v, h))
+                instances.append(make(footprint, roof, v, h, None, {}))
                 break
         else:
             raise SynthesisError(
@@ -340,8 +339,12 @@ def degrade_dataset(d: Dataset, frac_oh: float, frac_h: float, seed: int) -> Dat
         if i in keep_oh:
             records.append(r)
         else:
+            # strip_annotations, trusted: every instance of an OH record has a
+            # footprint, and keeps every check without offset, roof or height
+            keep_h = i in to_h
             insts = tuple(
-                strip_annotations(x, drop_offset=True, drop_height=i not in to_h)
+                BuildingInstance._trusted(x.footprint, None, None, x.height if keep_h else None,
+                                          x.score, x.extra)
                 for x in r.instances
             )
             records.append(replace(r, instances=insts))

@@ -192,8 +192,16 @@ _SQUARE = [4, 4, 12, 4, 12, 12, 4, 12]
         ({"pose": {"tan_theta": 0.5, "phi": 0.0, "scale_s": 1.0},
           "instances": [{"footprint": _SQUARE, "height": 5.0}, {"footprint": _SQUARE}]}, "h",
          "image 'a', instance 1: height required for level h"),
+        # at nadir the box is the footprint's, which lies right of the image
+        ({"pose": {"tan_theta": 0.0, "phi": 0.0, "scale_s": 1.0},
+          "instances": [{"footprint": _SQUARE, "height": 5.0},
+                        {"footprint": [40, 4, 48, 4, 48, 12], "height": 5.0}]}, "h",
+         "image 'a', instance 1: pseudo bbox is empty after clipping to the image"),
+        ({"pose": {"tan_theta": 10.0, "phi": math.pi / 4, "scale_s": 10.0},
+          "instances": [{"footprint": _SQUARE, "height": 1e308}]}, "h",
+         "image 'a', instance 0: Vec2 components must be finite numbers, got (inf, inf)"),
     ],
-    ids=["footprint", "pose", "height"],
+    ids=["footprint", "pose", "height", "empty-box", "offset-overflow"],
 )
 def test_pbc_cli_names_the_missing_input(tmp_path, capsys, image, level, message):
     data = tmp_path / "d.json"
@@ -202,6 +210,26 @@ def test_pbc_cli_names_the_missing_input(tmp_path, capsys, image, level, message
     assert run(["pbc", "--in", str(data), "--out", str(out), "--level", level]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["h", "n"])
+def test_pbc_computes_boxes_on_an_image_too_large_for_a_float(tmp_path, level):
+    # every coordinate lies within +-2**500, so the clip at the far edge of
+    # such an image cannot bind: the boxes are those of a 1e300 px image
+    boxes = []
+    for size in (10**400, 10**300):
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps({"images": [{
+            "id": "a", "width": size, "height": size,
+            "pose": {"tan_theta": 0.5, "phi": 0.0, "scale_s": 1.0},
+            "instances": [{"footprint": [-4, -4, 12, -4, 12, 12, -4, 12], "height": 4.0}]}]}))
+        out = tmp_path / "pbc.json"
+        assert run(["pbc", "--in", str(data), "--out", str(out), "--level", level]) == 0
+        boxes.append(json.loads(out.read_text())["images"][0]["boxes"])
+    assert boxes[0] == boxes[1]
+    # clipped at the near edges
+    far = 12.0 if level == "h" else 12.0 + 0.1 * 16.0
+    assert boxes[0] == [[0.0, 0.0, far, far]]
 
 
 def test_footprint_cli_polygon_mode(tmp_path, scene_path):

@@ -30,7 +30,7 @@ from offnadir.dataset import (
     validate_consistency,
 )
 from offnadir.geometry import ImagePose, Polygon2D, Vec2, _canonical_ring, translate_polygon
-from offnadir.synth import SynthConfig, generate_scenes
+from offnadir.synth import SynthConfig, degrade_dataset, generate_scenes
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 import scenes  # noqa: E402  (perfbench/scenes.py)
@@ -535,17 +535,24 @@ def test_batched_simplicity_check_matches_per_polygon_loading(batch_pairs, monke
 
     if batch_pairs is not None:
         monkeypatch.setattr(geometry, "_BATCH_PAIRS", batch_pairs)
+
+    def reference(flat):
+        # every ring fully checked by Polygon2D, in document order, before
+        # anything after it is parsed
+        rings.append(flat)
+        return Polygon2D(tuple(zip(flat[0::2], flat[1::2]))).vertices
+
     rng = random.Random(5150)
     outcomes = Counter()
     preempted = 0
     for _ in range(400):
         doc = _parity_document(rng)
         got = _load_outcome(doc)
+        rings = []
         with monkeypatch.context() as m:
-            # the reference: every ring fully checked by Polygon2D, in
-            # document order, before anything after it is parsed
-            m.setattr(dataset, "_canonical_ring", lambda v: Polygon2D(tuple(v)).vertices)
+            m.setattr(dataset, "_canonical_flat", reference)
             want = _load_outcome(doc)
+        assert rings, "the loader no longer canonicalizes through _canonical_flat"
         assert got == want, doc
         if isinstance(want, str):
             outcomes[want.split(": ", 1)[1].split(" (")[0].split(" by ")[0]] += 1
@@ -637,6 +644,134 @@ def test_loader_checks_pending_rings_a_kernel_chunk_at_a_time(monkeypatch):
     with pytest.raises(DatasetError, match="image 'img-0', instance 0: polygon is not simple"):
         dataset_from_json({"images": images})
     assert checked[0] == sum(checked) == geometry._BATCH_EDGES
+
+
+@st.composite
+def _valid_documents(draw):
+    """Documents the loader accepts: star-shaped rings of 3-20 vertices in
+    either winding, integer coordinates often written as JSON integers, and
+    any mix of roof with offset, height, score, pose and unknown keys."""
+    number = st.floats(-50.0, 50.0).map(lambda v: round(v, 2))
+
+    def json_number(v):
+        return int(v) if v == int(v) and draw(st.booleans()) else v
+
+    def flat(points):
+        return [json_number(c) for xy in points for c in xy]
+
+    images = []
+    for i in range(draw(st.integers(0, 3))):
+        image = {"id": f"img-{i}", "width": 200, "height": 200}
+        if draw(st.booleans()):
+            image["pose"] = {"tan_theta": draw(st.floats(0.0, 2.0)), "phi": draw(number),
+                             "scale_s": json_number(draw(st.floats(0.5, 4.0)))}
+            if draw(st.booleans()):
+                image["pose"]["sensor"] = "s"
+        instances = []
+        for _ in range(draw(st.integers(0, 4))):
+            n = draw(st.integers(3, 20))
+            angles = sorted(draw(st.lists(st.integers(0, 359), min_size=n, max_size=n,
+                                          unique=True)))
+            radii = draw(st.lists(st.integers(5, 40), min_size=n, max_size=n))
+            points = [(100 + round(r * math.cos(math.radians(a))),
+                       100 + round(r * math.sin(math.radians(a)))) for a, r in zip(angles, radii)]
+            if draw(st.booleans()):
+                points.reverse()
+            inst = {"footprint": flat(points)}
+            if draw(st.booleans()):
+                dx, dy = draw(number), draw(number)
+                inst.update(roof=flat([(x - dx, y - dy) for x, y in points]),
+                            offset=[json_number(dx), json_number(dy)])
+                if draw(st.booleans()):
+                    del inst["footprint"]
+            if draw(st.booleans()):
+                inst["height"] = json_number(abs(draw(number)))
+            if draw(st.booleans()):
+                inst["score"] = draw(st.floats(0.0, 1.0))
+            if draw(st.booleans()):
+                inst["tag"] = draw(st.text(max_size=2))
+            instances.append(inst)
+        image["instances"] = instances
+        images.append(image)
+    return {"images": images, "metadata": {"m": 1}, "license": "CC0"}
+
+
+def _built(doc) -> Dataset:
+    """doc as the public constructors build it."""
+    def polygon(flat):
+        return None if flat is None else Polygon2D(tuple(zip(flat[0::2], flat[1::2])))
+
+    records = []
+    for image in doc["images"]:
+        pose, pose_extra = None, {}
+        if "pose" in image:
+            pose_extra = dict(image["pose"])
+            pose = ImagePose(*(float(pose_extra.pop(k)) for k in ("tan_theta", "phi", "scale_s")))
+        instances = []
+        for inst in image["instances"]:
+            extra = dict(inst)
+            offset, height, score = (extra.pop(k, None) for k in ("offset", "height", "score"))
+            instances.append(BuildingInstance(
+                footprint=polygon(extra.pop("footprint", None)),
+                roof=polygon(extra.pop("roof", None)),
+                offset=None if offset is None else Vec2(float(offset[0]), float(offset[1])),
+                height=None if height is None else float(height),
+                score=score, extra=extra))
+        records.append(SampleRecord(image["id"], image["width"], image["height"], pose,
+                                    tuple(instances), pose_extra=pose_extra))
+    return Dataset(records=tuple(records), metadata=doc["metadata"],
+                   extra={"license": doc["license"]})
+
+
+def _floats(d: Dataset) -> set:
+    """The types of every number in d's instances."""
+    types = set()
+    for r in d.records:
+        for inst in r.instances:
+            for p in (inst.footprint, inst.roof):
+                if p is not None:
+                    types.update(type(c) for xy in p.vertices for c in xy)
+            if inst.offset is not None:
+                types.update((type(inst.offset.dx), type(inst.offset.dy)))
+            if inst.height is not None:
+                types.add(type(inst.height))
+    return types
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_valid_documents())
+def test_valid_document_loads_to_the_dataset_the_public_constructors_build(doc):
+    # the loader canonicalizes flat lists and checks instances in one pass
+    # each, and builds instances trusted; the checking constructors agree
+    try:
+        expected = _built(doc)
+    except ValueError as e:  # rounding made a ring that is not simple or has a repeat
+        with pytest.raises(DatasetError, match=f": {re.escape(str(e))}$"):
+            dataset_from_json(doc)
+        return
+    loaded = dataset_from_json(doc)
+    assert loaded == expected
+    assert _floats(loaded) <= {float}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1), st.floats(0.0, 0.5), st.floats(0.0, 0.5),
+       st.integers(0, 2**32), st.booleans())
+def test_degraded_instances_equal_the_checked_constructions(synth_seed, frac_oh, frac_h, seed,
+                                                             scored):
+    # degrade builds its stripped instances trusted; strip_annotations,
+    # which runs the checking constructor, gives the same
+    doc = dataset_to_json(generate_scenes(SynthConfig(
+        image_w=64, image_h=64, n_images=6, buildings_per_image=(1, 3), seed=synth_seed)))
+    if scored:
+        for image in doc["images"]:
+            for inst in image["instances"]:
+                inst.update(score=0.5, tag="t")
+    d = dataset_from_json(doc)
+    for r, got in zip(d.records, degrade_dataset(d, frac_oh, frac_h, seed).records):
+        for inst, x in zip(r.instances, got.instances):
+            assert x == strip_annotations(inst, drop_offset=x.offset is None,
+                                          drop_height=x.height is None)
 
 
 def test_offset_without_height_loads_and_grades_n(tmp_path):

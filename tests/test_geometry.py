@@ -334,6 +334,50 @@ def test_simplicity_broadcast_matches_loop(monkeypatch):
     assert outcomes["polygon is not simple (self-intersection)"] >= 20
 
 
+def _oracle_check_simple(verts):
+    """_check_simple as it was before its fold-back tests moved into one
+    pass over the vertices: every pair (i, j) in row-major order."""
+    n = len(verts)
+    for i in range(n):
+        a1, a2 = verts[i], verts[(i + 1) % n]
+        for j in range(i + 1, n):
+            b1, b2 = verts[j], verts[(j + 1) % n]
+            if j == i + 1:
+                bad = geometry._on_segment(b2, a1, a2) or geometry._on_segment(a1, b1, b2)
+            elif i == 0 and j == n - 1:
+                bad = geometry._on_segment(b1, a1, a2) or geometry._on_segment(a2, b1, b2)
+            else:
+                bad = (max(a1[0], a2[0]) >= min(b1[0], b2[0])
+                       and max(b1[0], b2[0]) >= min(a1[0], a2[0])
+                       and max(a1[1], a2[1]) >= min(b1[1], b2[1])
+                       and max(b1[1], b2[1]) >= min(a1[1], a2[1])
+                       and geometry._segments_intersect(a1, a2, b1, b2))
+            if bad:
+                return i * n + j
+    return None
+
+
+def test_check_simple_matches_the_pairwise_oracle_and_the_kernel():
+    # the first violating pair's index itself, not only its message, on
+    # rings that are not canonical: repeats, folds and collinear runs
+    rng = random.Random(1919)
+    found = Counter()
+    for _ in range(3000):
+        size = rng.randint(2, 6)
+        n = rng.randint(3, 9)
+        verts = [(float(rng.randrange(size)), float(rng.randrange(size))) for _ in range(n)]
+        if rng.random() < 0.5:
+            verts = _mutate(rng, _grid_ring(rng, min(n, size * size), size), size)
+            verts = [(float(x), float(y)) for x, y in verts]
+        verts = tuple(verts)
+        want = _oracle_check_simple(verts)
+        assert geometry._check_simple(verts) == want, verts
+        kernel = geometry._first_violation(np.array([verts], dtype=float))
+        assert kernel == (None if want is None else (0, want)), verts
+        found["simple" if want is None else geometry._simplicity_message(n, want)] += 1
+    assert min(found.values()) >= 200, found
+
+
 _CROSSED_HEXAGON = ((0, 0), (4, 0), (4, 3), (1, -1), (0, 3), (-1, 1))
 
 

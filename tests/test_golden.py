@@ -2,7 +2,7 @@
 
 Every output and report of ``perfbench/run.py:pipeline`` (synth, degrade,
 both pbc levels, both footprint modes, grade, validate, eval, reconstruct),
-plus one ``loss`` run and one ``reconstruct`` of the stars ground truth, is
+plus one ``loss`` run and two ``reconstruct`` runs of the stars ground truth, is
 hashed and compared with a committed table. The scenes are the benchmark's
 workloads with fewer and smaller images; the commands are the same. A
 change that moves one byte of any output fails here. When a change alters
@@ -151,6 +151,11 @@ GOLDEN = {
         "meshes.obj":
             "6e81440f31998d0bba313e36f2afc7e69265c87cfa9a54b27b58df4b5f98c807",
     },
+    # the same at --epsilon 2, where Douglas-Peucker drops vertices of every star
+    "stars_gt_dp": {
+        "meshes.obj":
+            "671f3aefdba42ee9e6c4557aeeae10ff3e09316e220c136fa0b8bf1eec581c3c",
+    },
     "loss": {
         "loss.json":
             "1107afbac9a11b0f6db6cd79257c03175f902b1b63efb081793b27ef77c322a6",
@@ -204,19 +209,33 @@ def test_pipeline_outputs_match_golden_digests(tmp_path, name):
     assert _pipeline_digests(str(tmp_path), WORKLOADS[name]) == GOLDEN[name]
 
 
-def test_star_ground_truth_meshes_match_golden_digest(tmp_path):
-    work = str(tmp_path)
+def _star_ground_truth_meshes(work: str, epsilon: str) -> tuple:
+    """reconstruct --in gt.json of the reduced stars scene: the object and
+    vertex counts of its OBJ header, and the file's digest."""
     scenes.save(scenes.synth_config(WORKLOADS["stars"], SEED), os.path.join(work, "config.json"))
     stage, argv = bench.pipeline(work, SEED)[0]
     assert stage == "synth" and _cli(argv)[0] == 0
     _derive_inputs(work, WORKLOADS["stars"])
     obj = os.path.join(work, "meshes.obj")
-    argv = ["reconstruct", "--in", os.path.join(work, "gt.json"), "--out", obj, "--epsilon", "0.25"]
+    argv = ["reconstruct", "--in", os.path.join(work, "gt.json"), "--out", obj,
+            "--epsilon", epsilon]
     assert _cli(argv)[0] == 0
     with open(obj, encoding="utf-8") as f:
-        header = re.match(r"# prism models: (\d+) objects, ", f.readline())
-    assert int(header.group(1)) > 0
-    assert {"meshes.obj": _sha(obj)} == GOLDEN["stars_gt"]
+        header = re.match(r"# prism models: (\d+) objects, (\d+) vertices", f.readline())
+    return int(header.group(1)), int(header.group(2)), {"meshes.obj": _sha(obj)}
+
+
+def test_star_ground_truth_meshes_match_golden_digest(tmp_path):
+    objects, _, digest = _star_ground_truth_meshes(str(tmp_path), "0.25")
+    assert objects > 0
+    assert digest == GOLDEN["stars_gt"]
+
+
+def test_simplified_star_ground_truth_meshes_match_golden_digest(tmp_path):
+    objects, vertices, digest = _star_ground_truth_meshes(str(tmp_path), "2")
+    # each prism has two vertices per ring vertex: fewer than the stars' 64
+    assert objects > 0 and vertices < 2 * scenes.STAR_VERTICES * objects
+    assert digest == GOLDEN["stars_gt_dp"]
 
 
 def test_loss_report_matches_golden_digest(tmp_path):

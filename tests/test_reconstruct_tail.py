@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from offnadir import reconstruct
 from offnadir.geometry import Polygon2D
-from offnadir.reconstruct import Mesh3D, _ear_clip, simplify_chain, simplify_dp
+from offnadir.reconstruct import Mesh3D, _ear_clip, extrude_prism, simplify_chain, simplify_dp
 
 # ---------------------------------------------------------------------------
 # oracles: the loops as they were before the one-pass and numpy paths
@@ -333,6 +333,18 @@ def test_farthest_pair_memory_is_bounded_by_row_blocks():
 
 # ---------------------------------------------------------------------------
 # Mesh3D indices
+
+
+@PARITY
+@given(rings(), st.sampled_from([0.5, 3.0, 1e300]), st.sampled_from([0.25, 1.0, 1e-300]))
+def test_extruded_prism_equals_the_checked_mesh(p, h, scale_s):
+    # extrude_prism builds its mesh trusted; the checking constructor agrees
+    try:
+        mesh = extrude_prism(p, h, scale_s)
+    except ValueError:  # coordinates that overflow when divided by scale_s
+        return
+    assert mesh == Mesh3D(mesh.vertices, mesh.triangles)
+    assert len(mesh.vertices) == 2 * len(p)
 
 
 @pytest.mark.parametrize("index", [1.5, 2.0, True, False, np.int64(1), "1", None])
