@@ -20,10 +20,11 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
+import gc
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .geometry import (
@@ -139,10 +140,7 @@ def _number(where: str, what: str, convert, value):
     when float() did, which no list passes. Each value is converted and
     type-checked once, here.
     """
-    try:
-        out = convert(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise DatasetError(f"{where}: {e}") from e
+    out = _parse(where, convert, value)
     if isinstance(value, (list, tuple)):
         if _NOT_NUMBERS.isdisjoint(map(type, value)):
             return out
@@ -544,8 +542,19 @@ def _write_json(obj, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read and validate a dataset JSON file."""
-    return dataset_from_json(_read_json(path))
+    """Read and validate a dataset JSON file.
+
+    The cyclic collector is paused meanwhile: parsing and validating build
+    no reference cycles, but its collections would walk the objects built
+    so far again and again as the file grows.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return dataset_from_json(_read_json(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_dataset(d: Dataset, path) -> None:
@@ -621,10 +630,11 @@ def strip_annotations(
     The roof goes with the offset: keeping it would leak the offset through
     the roof/footprint relation.
     """
-    changes = {}
-    if drop_offset:
-        changes["offset"] = None
-        changes["roof"] = None
-    if drop_height:
-        changes["height"] = None
-    return replace(inst, **changes) if changes else inst
+    if not (drop_offset or drop_height):
+        return inst
+    # trusted with a footprint: then dropping offset and roof together, or
+    # the height, keeps every check that inst passed
+    make = BuildingInstance._trusted if inst.footprint is not None else BuildingInstance
+    return make(inst.footprint, None if drop_offset else inst.roof,
+                None if drop_offset else inst.offset, None if drop_height else inst.height,
+                inst.score, inst.extra)

@@ -7,8 +7,6 @@ no height either, by enlarging the footprint box by a margin.
 
 from __future__ import annotations
 
-import sys
-
 from .geometry import (
     BBox,
     ImagePose,
@@ -21,12 +19,9 @@ from .geometry import (
 )
 
 DEFAULT_EXPAND_RATIO = 0.1
-
-
-def _extent(size: int) -> float:
-    # an image too large for a float reaches past every finite coordinate,
-    # so clipping to the largest float clips nothing it would not
-    return float(min(size, sys.float_info.max))
+# Coordinates lie within +-2**500: an image side capped here clips the same,
+# also a side too large for a float
+_MAX_SIDE = 2.0**1023
 
 
 def pseudo_offset(
@@ -50,7 +45,8 @@ def pseudo_bbox_level_h(
     dx, dy = -v.dx, -v.dy
     roof_est = BBox(b.x_min + dx, b.y_min + dy, b.x_max + dx, b.y_max + dy)
     box = bbox_union(b, roof_est)
-    clipped = bbox_intersection(box, BBox(0.0, 0.0, _extent(image_w), _extent(image_h)))
+    w, h = float(min(image_w, _MAX_SIDE)), float(min(image_h, _MAX_SIDE))
+    clipped = bbox_intersection(box, BBox(0.0, 0.0, w, h))
     if clipped is None:
         raise ValueError("pseudo bbox is empty after clipping to the image")
     return clipped
@@ -70,7 +66,7 @@ def pseudo_bbox_level_n(
     x_min, x_max = box.x_min - mx, box.x_max + mx
     y_min, y_max = box.y_min - my, box.y_max + my
     # clamp instead of intersect: this path never errors
-    w, h = _extent(image_w), _extent(image_h)
+    w, h = float(min(image_w, _MAX_SIDE)), float(min(image_h, _MAX_SIDE))
     x_min = min(max(x_min, 0.0), w)
     x_max = min(max(x_max, 0.0), w)
     y_min = min(max(y_min, 0.0), h)

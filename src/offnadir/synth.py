@@ -26,6 +26,7 @@ from .dataset import (
     _is_integer,
     _PendingRings,
     grade_sample,
+    strip_annotations,
 )
 from .geometry import (
     TWO_PI,
@@ -339,12 +340,8 @@ def degrade_dataset(d: Dataset, frac_oh: float, frac_h: float, seed: int) -> Dat
         if i in keep_oh:
             records.append(r)
         else:
-            # strip_annotations, trusted: every instance of an OH record has a
-            # footprint, and keeps every check without offset, roof or height
-            keep_h = i in to_h
             insts = tuple(
-                BuildingInstance._trusted(x.footprint, None, None, x.height if keep_h else None,
-                                          x.score, x.extra)
+                strip_annotations(x, drop_offset=True, drop_height=i not in to_h)
                 for x in r.instances
             )
             records.append(replace(r, instances=insts))

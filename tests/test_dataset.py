@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offnadir import dataset as dataset_module
+from offnadir import synth as synth_module
 from offnadir.cli import run
 from offnadir.dataset import (
     BuildingInstance,
@@ -755,12 +756,38 @@ def test_valid_document_loads_to_the_dataset_the_public_constructors_build(doc):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1), st.booleans(), st.booleans(), st.booleans(), st.booleans())
+def test_stripped_instances_equal_the_checked_constructions(synth_seed, drop_offset, drop_height,
+                                                           scored, pre_stripped):
+    # strip_annotations builds an instance with a footprint trusted; the
+    # checking constructor gives the same
+    d = generate_scenes(SynthConfig(
+        image_w=64, image_h=64, n_images=2, buildings_per_image=(1, 3), seed=synth_seed))
+    for r in d.records:
+        for inst in r.instances:
+            if pre_stripped:
+                inst = BuildingInstance(footprint=inst.footprint, height=inst.height)
+            if scored:
+                inst = replace(inst, score=0.5, extra={"tag": "t"})
+            got = strip_annotations(inst, drop_offset=drop_offset, drop_height=drop_height)
+            assert got == BuildingInstance(
+                footprint=inst.footprint,
+                roof=None if drop_offset else inst.roof,
+                offset=None if drop_offset else inst.offset,
+                height=None if drop_height else inst.height,
+                score=inst.score,
+                extra=inst.extra,
+            )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**64 - 1), st.floats(0.0, 0.5), st.floats(0.0, 0.5),
        st.integers(0, 2**32), st.booleans())
-def test_degraded_instances_equal_the_checked_constructions(synth_seed, frac_oh, frac_h, seed,
-                                                             scored):
-    # degrade builds its stripped instances trusted; strip_annotations,
-    # which runs the checking constructor, gives the same
+def test_degrade_strips_the_records_its_documented_shuffle_picks(synth_seed, frac_oh, frac_h,
+                                                                seed, scored):
+    # the first round(frac_oh * n) records of the shuffled order keep OH, the
+    # next round(frac_h * n) keep only footprints and heights, the rest only
+    # footprints; each instance equals its checked construction
     doc = dataset_to_json(generate_scenes(SynthConfig(
         image_w=64, image_h=64, n_images=6, buildings_per_image=(1, 3), seed=synth_seed)))
     if scored:
@@ -768,10 +795,23 @@ def test_degraded_instances_equal_the_checked_constructions(synth_seed, frac_oh,
             for inst in image["instances"]:
                 inst.update(score=0.5, tag="t")
     d = dataset_from_json(doc)
-    for r, got in zip(d.records, degrade_dataset(d, frac_oh, frac_h, seed).records):
-        for inst, x in zip(r.instances, got.instances):
-            assert x == strip_annotations(inst, drop_offset=x.offset is None,
-                                          drop_height=x.height is None)
+    n = len(d.records)
+    n_oh = min(n, math.floor(frac_oh * n + 0.5))
+    n_h = min(n - n_oh, math.floor(frac_h * n + 0.5))
+    order = synth_module._permutation(random.Random(seed).random, n)
+    keep_oh, keep_h = set(order[:n_oh]), set(order[n_oh:n_oh + n_h])
+    got = degrade_dataset(d, frac_oh, frac_h, seed)
+    for i, (r, g) in enumerate(zip(d.records, got.records)):
+        if i in keep_oh:
+            assert g is r
+            continue
+        assert g.instances == tuple(
+            BuildingInstance(footprint=inst.footprint,
+                             height=inst.height if i in keep_h else None,
+                             score=inst.score, extra=inst.extra)
+            for inst in r.instances
+        )
+        assert grade_sample(g) == (SupervisionLevel.H if i in keep_h else SupervisionLevel.N)
 
 
 def test_offset_without_height_loads_and_grades_n(tmp_path):
