@@ -45,6 +45,7 @@ from .dataset import (
 from .raster import (
     BitMask,
     mask_to_rle,
+    masks_to_rle,
     rasterize_polygon,
     rasterize_polygons,
     rle_to_mask,

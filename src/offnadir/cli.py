@@ -32,7 +32,7 @@ from .losses import (
 )
 from .metrics import evaluate
 from .pseudobox import DEFAULT_EXPAND_RATIO, pseudo_bbox_level_h, pseudo_bbox_level_n
-from .raster import mask_to_rle, rasterize_polygons, translate_mask
+from .raster import masks_to_rle, rasterize_polygons
 from .reconstruct import DEFAULT_EPSILON_PX, export_obj, reconstruct_dataset
 from .synth import SynthesisError, config_from_json, degrade_dataset, generate_scenes
 
@@ -151,6 +151,7 @@ def _cmd_footprint(args) -> int:
         with _PendingRings() as pending:  # translate_polygon(roof, offset), batched
             for r in dataset.records:
                 instances = []
+                before = derived
                 for k, inst in enumerate(r.instances):
                     if inst.roof is not None and inst.offset is not None:
                         where = f"image {r.image_id!r}, instance {k}"
@@ -161,7 +162,8 @@ def _cmd_footprint(args) -> int:
                     else:
                         instances.append(inst)
                         kept += 1
-                records.append(replace(r, instances=tuple(instances)))
+                # a record with no derived footprint is kept as loaded, unchecked again
+                records.append(r if derived == before else replace(r, instances=tuple(instances)))
         out = Dataset(records=tuple(records), metadata=dict(dataset.metadata), extra=dict(dataset.extra))
         save_dataset(out, args.out)
         print(f"derived {derived} footprint(s), kept {kept} as-is", file=sys.stderr)
@@ -176,20 +178,12 @@ def _cmd_footprint(args) -> int:
                     yield inst.roof, r.width, r.height
 
         # one stream over all roofs, consumed record by record
-        roof_masks = rasterize_polygons(roofs())
-        images = []
-        for r in dataset.records:
-            insts = []
-            for inst, roof_mask in zip(r.instances, roof_masks):
-                fp_mask = translate_mask(roof_mask, inst.offset)
-                insts.append(
-                    {
-                        "width": fp_mask.width,
-                        "height": fp_mask.height,
-                        "rle": mask_to_rle(fp_mask),
-                    }
-                )
-            images.append({"id": r.image_id, "instances": insts})
+        offsets = (inst.offset for r in dataset.records for inst in r.instances)
+        rles = masks_to_rle(zip(rasterize_polygons(roofs()), offsets))
+        images = [{"id": r.image_id,
+                   "instances": [{"width": r.width, "height": r.height, "rle": rle}
+                                 for _, rle in zip(r.instances, rles)]}
+                  for r in dataset.records]
         _write_json({"images": images}, args.out)
     return EXIT_OK
 

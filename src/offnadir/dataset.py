@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .geometry import (
-    _BATCH_EDGES, TWO_PI, ImagePose, Polygon2D, Vec2, _canonical_flat, _first_non_simple,
+    _BATCH_EDGES, TWO_PI, ImagePose, Polygon2D, Vec2, _canonical_flat, _finite, _first_non_simple,
 )
 
 ROOF_OFFSET_TOL_PX = 1e-6
@@ -84,10 +84,10 @@ def _check_instance(footprint, roof, offset, height, score) -> None:
     if footprint is None and (roof is None or offset is None):
         raise DatasetError("instance needs a footprint or both roof and offset")
     if height is not None:
-        if type(height) is bool or not (math.isfinite(height) and height >= 0):
+        if type(height) is bool or not (_finite(height) and height >= 0):
             raise DatasetError(f"height must be finite and >= 0, got {height!r}")
     if score is not None:
-        if type(score) is bool or not (math.isfinite(score) and 0 <= score <= 1):
+        if type(score) is bool or not (_finite(score) and 0 <= score <= 1):
             raise DatasetError(f"score must be in [0, 1], got {score!r}")
     if footprint is not None and roof is not None and offset is not None:
         # footprint - offset without building a throwaway polygon; x - dx

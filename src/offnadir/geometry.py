@@ -20,6 +20,14 @@ from itertools import chain
 TWO_PI = 2.0 * math.pi
 
 
+def _finite(x) -> bool:
+    """math.isfinite, but False for an int too large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def normalize_angle(phi: float) -> float:
     """Wrap an angle into [0, 2*pi)."""
     r = math.fmod(phi, TWO_PI)
@@ -39,7 +47,7 @@ class Vec2:
 
     def __post_init__(self):
         dx, dy = self.dx, self.dy
-        if bool in (type(dx), type(dy)) or not (math.isfinite(dx) and math.isfinite(dy)):
+        if bool in (type(dx), type(dy)) or not (_finite(dx) and _finite(dy)):
             raise ValueError(f"Vec2 components must be finite numbers, got ({dx!r}, {dy!r})")
 
     def norm(self) -> float:
@@ -70,7 +78,7 @@ class ImagePose:
             value = getattr(self, name)
             if type(value) is bool:
                 raise ValueError(f"ImagePose.{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            if not _finite(value):
                 raise ValueError(f"ImagePose.{name} must be finite")
         if self.tan_theta < 0:
             raise ValueError(f"tan_theta must be >= 0, got {self.tan_theta}")
@@ -432,7 +440,11 @@ def _canonical_ring(vertices) -> tuple:
     finite or lies beyond +-2**500, a repeated vertex, or zero area.
     Simplicity is not checked here.
     """
-    return _canonical(tuple((float(x), float(y)) for x, y in vertices))
+    try:
+        verts = tuple((float(x), float(y)) for x, y in vertices)
+    except OverflowError:  # an int too large for a float
+        raise ValueError("polygon vertex coordinates must lie within +-2**500") from None
+    return _canonical(verts)
 
 
 def _canonical_flat(values) -> tuple:
@@ -522,7 +534,7 @@ class BBox:
 
     def __post_init__(self):
         for name in ("x_min", "y_min", "x_max", "y_max"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise ValueError(f"BBox.{name} must be finite")
         if self.x_min > self.x_max or self.y_min > self.y_max:
             raise ValueError(f"inverted BBox: {self}")

@@ -8,6 +8,10 @@ many polygons: windows, crossings, parities and boundary tests are
 computed for all polygons of a pass at once, with no Python loop per
 edge, within bounds on pixels and edge terms. rasterize_polygon is its
 one-polygon case.
+
+masks_to_rle shifts masks and run-length encodes them in bounded numpy
+batches: each result equals mask_to_rle(translate_mask(m, v)), and
+mask_to_rle is its one-mask case.
 """
 
 from __future__ import annotations
@@ -328,29 +332,97 @@ def translate_mask(m: BitMask, v: Vec2) -> BitMask:
 def mask_to_rle(m: BitMask) -> list[int]:
     """Row-major run lengths over the full grid, starting with the leading
     run of zeros."""
+    return next(masks_to_rle(((m, Vec2(0.0, 0.0)),)))
+
+
+# Bound on the memory of masks_to_rle: the window pixels of the masks it
+# encodes in one numpy pass, counting one more per mask, so that a stream
+# of masks with no pixels in the grid also passes in bounded batches.
+_RLE_PIXELS = 2**16
+
+
+def masks_to_rle(items):
+    """mask_to_rle(translate_mask(m, v)) for each (m, v) of an iterable,
+    in order, as it reads them.
+
+    The masks of a batch are encoded in one numpy pass over their
+    concatenated windows: runs are cut at window rows, shifted and clipped
+    to the grid, and joined where they go on across a grid row. A shift
+    moves the window in Python integers, so any finite offset works; only
+    the part of a window inside the grid reaches int64 arithmetic.
+    """
+    items = iter(items)
+    while True:
+        totals, pieces, rows = [], [], []
+        pixels = 0
+        for m, v in items:
+            total = m.width * m.height
+            if total >= 2**63:  # grid positions are int64
+                raise ValueError(f"a {m.width}x{m.height} grid is too large to run-length encode")
+            h, w = m.data.shape
+            x0 = m.x0 + round_half_away(v.dx)
+            y0 = m.y0 + round_half_away(v.dy)
+            # the window rows r0:r1 and columns c0:c1 that land in the grid
+            r0, r1 = max(0, -y0), min(h, m.height - y0)
+            c0, c1 = max(0, -x0), min(w, m.width - x0)
+            if r0 < r1 and c0 < c1:
+                pieces.append(m.data[r0:r1].ravel())
+                # grid position of the first such row's column 0
+                rows.append((len(totals), r1 - r0, w, c0, c1, (y0 + r0) * m.width + x0, m.width))
+                pixels += (r1 - r0) * w
+            totals.append(total)
+            pixels += 1
+            if pixels >= _RLE_PIXELS:
+                break
+        if not totals:
+            return
+        yield from _rle_batch(totals, pieces, rows)
+
+
+def _rle_batch(totals, pieces, rows):
     import numpy as np
 
-    total = m.width * m.height
-    if total == 0:
-        return []
-    if total > np.iinfo(np.int64).max:  # grid positions below are int64
-        raise ValueError(f"a {m.width}x{m.height} grid is too large to run-length encode")
-    h, w = m.data.shape
-    padded = np.zeros((h, w + 2), dtype=bool)
-    padded[:, 1:-1] = m.data
-    # grid positions where each window row's runs of ones start and end
-    r, c = np.nonzero(padded[:, 1:] != padded[:, :-1])
-    bounds = (r + m.y0) * m.width + (c + m.x0)
+    fields = np.fromiter(chain.from_iterable(rows), np.int64).reshape(-1, 7).T
+    index, n, w, c0, c1, base, width = fields
+    # per window row: its entry of rows, its start in the concatenation, the
+    # columns that land in the grid, and the shift from concatenation to grid
+    entry, j = _runs(np.arange(n.size), np.zeros_like(n), n)
+    row_w = w[entry]
+    start = np.cumsum(row_w) - row_w
+    lo, hi = start + c0[entry], start + c1[entry]
+    shift = base[entry] + j * width[entry] - start
+    pad = np.zeros(1, dtype=bool)
+    flat = np.concatenate([pad, *pieces, pad])
+    # runs of ones as alternating starts and ends, cut into one piece per
+    # window row they cover, and clipped to the columns in the grid
+    bounds = np.flatnonzero(flat[1:] != flat[:-1])
+    a, b = bounds[0::2], bounds[1::2]
+    first = start.searchsorted(a, "right") - 1
+    run, row = _runs(np.arange(a.size), first, start.searchsorted(b, "left") - first)
+    a, b = np.maximum(a[run], lo[row]), np.minimum(b[run], hi[row])
+    inside = a < b
+    row = row[inside]
+    bounds = np.column_stack((a[inside], b[inside])).ravel() + np.repeat(shift[row], 2)
+    owner = np.repeat(index[entry[row]], 2)
     # a run reaching the end of a grid row goes on at the next row's start
-    joined = bounds[1:-1:2] == bounds[2::2]
+    joined = (bounds[1:-1:2] == bounds[2::2]) & (owner[1:-1:2] == owner[2::2])
     if joined.any():
         keep = np.ones(bounds.size, dtype=bool)
         keep[1:-1:2] = keep[2::2] = ~joined
-        bounds = bounds[keep]
-    runs = np.diff(np.concatenate(([0], bounds, [total])))
-    if runs[-1] == 0:  # ones up to the last pixel: no trailing zero run
-        runs = runs[:-1]
-    return runs.tolist()
+        bounds, owner = bounds[keep], owner[keep]
+    # each mask's bounds between a 0 and its grid size, so that one diff
+    # gives the runs of every mask
+    count = np.bincount(owner, minlength=len(totals))
+    end = np.cumsum(count + 2)
+    framed = np.zeros(int(end[-1]), np.int64)
+    framed[np.arange(bounds.size) + 2 * owner + 1] = bounds
+    framed[end - 1] = totals
+    runs = np.diff(framed).tolist()
+    for at, k in zip((end - count - 2).tolist(), count.tolist()):
+        out = runs[at : at + k + 1]
+        if out[-1] == 0:  # ones up to the last pixel: no trailing zero run
+            out.pop()
+        yield out
 
 
 def rle_to_mask(runs, width: int, height: int) -> BitMask:

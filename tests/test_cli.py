@@ -285,6 +285,34 @@ def test_footprint_cli_raster_mode(tmp_path, scene_path):
             assert mask == rasterize_polygon(inst.footprint, rec.width, rec.height)
 
 
+@pytest.mark.parametrize("roof, offset", [
+    ([2, 2, 2.3, 2, 2, 2.3], [1, 1]),  # sub-pixel: no pixel center inside
+    ([2, 2, 8, 2, 8, 8], [100, 0]),  # moved off the grid
+    ([2, 2, 8, 2, 8, 8], [-1e300, 1e300]),
+], ids=["sub-pixel", "off-grid", "far"])
+def test_footprint_cli_raster_mode_encodes_an_empty_footprint_as_one_run(tmp_path, roof, offset):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"images": [
+        {"id": "a", "width": 16, "height": 12, "instances": [{"roof": roof, "offset": offset}]},
+    ]}))
+    out = tmp_path / "fp_masks.json"
+    assert run(["footprint", "--in", str(scene), "--out", str(out), "--mode", "raster"]) == 0
+    want = {"images": [{"id": "a", "instances": [{"width": 16, "height": 12, "rle": [192]}]}]}
+    assert json.loads(out.read_text()) == want
+
+
+def test_footprint_cli_raster_mode_refuses_a_grid_too_large_to_encode(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"images": [
+        {"id": "a", "width": 2**32, "height": 2**32,
+         "instances": [{"roof": [0, 0, 4, 0, 4, 4], "offset": [0, 0]}]},
+    ]}))
+    out = tmp_path / "fp_masks.json"
+    assert run(["footprint", "--in", str(scene), "--out", str(out), "--mode", "raster"]) == 2
+    assert "too large to run-length encode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_footprint_cli_raster_mode_names_the_first_roofless_instance(tmp_path, scene_path, capsys):
     d = load_dataset(scene_path)
     records = list(d.records)

@@ -926,6 +926,16 @@ def test_instance_rejects_a_boolean_score():
         make_instance(score=True)
 
 
+@pytest.mark.parametrize("field, message", [
+    ("height", r"^height must be finite and >= 0, got 1000"),
+    ("score", r"^score must be in \[0, 1\], got 1000"),
+])
+def test_instance_rejects_an_int_too_large_for_a_float(field, message):
+    # math.isfinite raises OverflowError on it; the check reports it instead
+    with pytest.raises(DatasetError, match=message):
+        make_instance(**{field: 10**400})
+
+
 def test_record_rejects_an_image_id_that_is_not_a_string():
     with pytest.raises(DatasetError, match=r"^image id must be a string, got 5$"):
         record_of(image_id=5)

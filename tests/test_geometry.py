@@ -616,6 +616,22 @@ def test_non_finite_values_are_rejected_by_name(value):
         Polygon2D(((0.0, 0.0), (value, 0.0), (1.0, 1.0)))
 
 
+HUGE = 10**400  # an int too large for a float: math.isfinite raises on it
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Vec2(HUGE, 0), r"^Vec2 components must be finite numbers, got "),
+    (lambda: ImagePose(HUGE, 0.0, 1.0), r"^ImagePose\.tan_theta must be finite$"),
+    (lambda: BBox(0, 0, HUGE, 1), r"^BBox\.x_max must be finite$"),
+    (lambda: BBox(-HUGE, 0, 1, 1), r"^BBox\.x_min must be finite$"),
+    (lambda: Polygon2D(((0, 0), (HUGE, 0), (1, 1))),
+     r"^polygon vertex coordinates must lie within \+-2\*\*500$"),
+], ids=["vec2", "image-pose", "bbox-max", "bbox-min", "polygon"])
+def test_an_int_too_large_for_a_float_is_a_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_segments_touch_where_one_endpoint_lies_on_the_other_segment():
     a, b = (0.0, 0.0), (2.0, 0.0)
     # q1 lies on a b; then p2 lies on a b

@@ -11,6 +11,7 @@ from offnadir.metrics import mask_iou
 from offnadir.raster import (
     BitMask,
     mask_to_rle,
+    masks_to_rle,
     rasterize_polygon,
     rasterize_polygons,
     rle_to_mask,
@@ -376,7 +377,7 @@ def grid_masks(draw, w, h):
 def dense_translate(grid, dx, dy):
     h, w = grid.shape
     out = np.zeros_like(grid)
-    for j, i in zip(*np.nonzero(grid)):
+    for j, i in zip(*(a.tolist() for a in np.nonzero(grid))):  # any int shift
         if 0 <= i + dx < w and 0 <= j + dy < h:
             out[j + dy, i + dx] = True
     return out
@@ -504,6 +505,73 @@ def test_window_translate_matches_dense(data):
     want = dense_translate(m.dense(), round_half_away(v.dx), round_half_away(v.dy))
     assert np.array_equal(moved.dense(), want)
     assert moved == BitMask(w, h, want)
+
+
+def rle_oracle(m, v):
+    """mask_to_rle(translate_mask(m, v)) as the per-mask encoder computed it
+    before masks_to_rle: padded window rows, one nonzero per mask."""
+    m = translate_mask(m, v)
+    total = m.width * m.height
+    if total == 0:
+        return []
+    h, w = m.data.shape
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = m.data
+    r, c = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    bounds = (r + m.y0) * m.width + (c + m.x0)
+    joined = bounds[1:-1:2] == bounds[2::2]
+    if joined.any():
+        keep = np.ones(bounds.size, dtype=bool)
+        keep[1:-1:2] = keep[2::2] = ~joined
+        bounds = bounds[keep]
+    runs = np.diff(np.concatenate(([0], bounds, [total])))
+    if runs[-1] == 0:
+        runs = runs[:-1]
+    return runs.tolist()
+
+
+@st.composite
+def shifted_masks(draw):
+    """(mask, offset): grid_masks on grids of 0 to 12 pixels a side, and
+    offsets of halves, floats, shifts past the grid and +-1e300."""
+    w = draw(st.integers(0, 12))
+    h = draw(st.integers(0, 12))
+    m = draw(grid_masks(w, h))
+    halves = st.integers(-2 * (w + h) - 4, 2 * (w + h) + 4).map(lambda k: k / 2)
+    far = st.sampled_from([1e300, -1e300, float(w + 1), -float(w + 1), float(h), -float(h)])
+    return m, Vec2(draw(halves | st.floats(-30, 30) | far), draw(halves | st.floats(-30, 30) | far))
+
+
+RLE_BOUNDS = {"default": {}, "one": {"_RLE_PIXELS": 1}, "small": {"_RLE_PIXELS": 40}}
+
+
+@pytest.mark.parametrize("bounds", list(RLE_BOUNDS))
+@settings(PROPERTIES, suppress_health_check=[
+    HealthCheck.filter_too_much, HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.lists(shifted_masks(), min_size=1, max_size=8))
+def test_batched_rle_matches_per_mask_encoder(monkeypatch, bounds, batch):
+    # "one" gives every mask its own batch, "small" splits batches mid-list
+    for name, value in RLE_BOUNDS[bounds].items():
+        monkeypatch.setattr(raster, name, value)
+    runs = list(masks_to_rle(batch))
+    assert runs == [rle_oracle(m, v) for m, v in batch]
+    for r, (m, v) in zip(runs, batch):
+        want = dense_translate(m.dense(), round_half_away(v.dx), round_half_away(v.dy))
+        assert np.array_equal(rle_to_mask(r, m.width, m.height).dense(), want)
+
+
+@pytest.mark.parametrize("bound", [1, 7, raster._RLE_PIXELS])
+def test_batched_rle_of_windows_at_every_grid_edge(monkeypatch, bound):
+    # a random 5x4 grid moved to touch or cross each edge, full-width
+    # windows among them, then shifted again: one batch, or one per mask
+    monkeypatch.setattr(raster, "_RLE_PIXELS", bound)
+    full = BitMask(5, 4, np.random.default_rng(108).random((4, 5)) > 0.4)
+    windows = [translate_mask(full, Vec2(float(dx), float(dy)))
+               for dx in range(-5, 6) for dy in range(-4, 5)]
+    batch = [(m, Vec2(float(dx), float(dy))) for m in windows
+             for dx, dy in ((0, 0), (1, -1), (-5, 0), (0, 4), (1e300, 0), (0, -1e300))]
+    batch += [(BitMask(0, 3), Vec2(1.0, 1.0)), (BitMask(3, 0), Vec2(0.0, 0.0))]
+    assert list(masks_to_rle(batch)) == [rle_oracle(m, v) for m, v in batch]
 
 
 def test_bitmask_compares_only_with_masks_and_prints_its_size():
