@@ -144,6 +144,8 @@ def _cmd_pbc(args) -> int:
 
 
 def _cmd_footprint(args) -> int:
+    if args.mode == "raster":
+        import numpy  # noqa: F401  (rasterizing needs it; loaded first, the loader batches too)
     dataset = load_dataset(args.input)
     if args.mode == "polygon":
         records = []
@@ -189,6 +191,7 @@ def _cmd_footprint(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    import numpy  # noqa: F401  (evaluating needs it; loaded first, the loader batches too)
     pred = load_dataset(args.pred)
     gt = load_dataset(args.gt)
     result = evaluate(pred, gt, iou_threshold=args.iou)

@@ -25,10 +25,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .geometry import (
-    _BATCH_EDGES, TWO_PI, ImagePose, Polygon2D, Vec2, _canonical_flat, _finite, _first_non_simple,
+    _BATCH_EDGES, _MAX_COORD, TWO_PI, ImagePose, Polygon2D, Vec2, _canonical_flat, _finite,
+    _first_non_simple, _first_violation, _kernel_chunks, _numpy_loaded,
 )
 
 ROOF_OFFSET_TOL_PX = 1e-6
@@ -129,6 +131,7 @@ def _is_integer(v) -> bool:
 
 
 _NOT_NUMBERS = frozenset((bool, str))  # float() takes them; JSON numbers they are not
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def _number(where: str, what: str, convert, value):
@@ -161,6 +164,14 @@ class SampleRecord:
     instances: tuple = ()
     extra: dict = field(default_factory=dict)
     pose_extra: dict = field(default_factory=dict)
+
+    @classmethod
+    def _trusted(cls, image_id, width, height, pose, instances, extra, pose_extra) -> "SampleRecord":
+        """Record whose checks its caller has proven to pass; instances a tuple."""
+        r = object.__new__(cls)
+        vars(r).update(image_id=image_id, width=width, height=height, pose=pose,
+                       instances=instances, extra=extra, pose_extra=pose_extra)
+        return r
 
     def __post_init__(self):
         if not isinstance(self.image_id, str):
@@ -424,10 +435,104 @@ def dataset_from_json(obj) -> Dataset:
     metadata = obj.pop("metadata", {})
     if not isinstance(metadata, dict):
         raise DatasetError('"metadata" must be an object')
+    if _numpy_loaded():
+        # where the batched route cannot prove the document valid, the
+        # ring-by-ring route loads it or reports its first error
+        with contextlib.suppress(DatasetError, ValueError, OverflowError, TypeError):
+            return Dataset(records=_records_batched(images), metadata=metadata, extra=obj)
     # rings are checked in batches; the first error in document order wins
     with _PendingRings() as pending:
         records = [_record_from_json(o, k, pending) for k, o in enumerate(images)]
         return Dataset(records=tuple(records), metadata=metadata, extra=obj)
+
+
+def _exact(value, *types):
+    """value, or a TypeError unless its type is one of types."""
+    if type(value) not in types:
+        raise TypeError
+    return value
+
+
+def _numbers(values):
+    """values, or a TypeError unless each is exactly an int or a float."""
+    if not _JSON_NUMBERS.issuperset(map(type, values)):
+        raise TypeError
+    return values
+
+
+def _records_batched(images) -> tuple:
+    """The records the ring-by-ring route builds from images, or an error
+    (DatasetError, ValueError, OverflowError or TypeError) where a value is
+    not exactly of its JSON type or a check fails.
+
+    Every coordinate is converted in one pass. Rings of equal vertex count
+    are canonicalized and checked together in the simplicity kernel's
+    chunks: the +-2**500 bound, _signed_area's sum (its operations in its
+    order), the reversal of a negative winding, the frame of the ring's
+    image and the kernel. Instances are checked by _check_instance.
+    """
+    import numpy as np
+
+    flats, frames = [], []  # the rings, and the width and height of each one's image
+    for image in images:
+        frame = [_exact(_exact(image, dict).get(k), int) for k in ("width", "height")]
+        if not (type(image.get("id")) is str and 0 < min(frame) and max(frame) < 2**53):
+            raise TypeError
+        for inst in _exact(image.get("instances", []), list):
+            for flat in (_exact(inst, dict).get("footprint"), inst.get("roof")):
+                if flat is not None:
+                    flats.append(_exact(flat, list))
+                    frames.append(frame)
+    _numbers(chain.from_iterable(flats))  # every coordinate
+    sizes = [len(flat) if len(flat) % 2 == 0 else 0 for flat in flats]  # odd: 0, refused below
+    xy = np.fromiter(map(float, chain.from_iterable(flats)), float, sum(sizes))
+    if not (min(sizes, default=6) >= 6 and np.abs(xy).max(initial=0.0) <= _MAX_COORD):
+        raise TypeError  # also for NaN, which fails every comparison
+    starts = np.cumsum([0] + sizes[:-1])
+    frames = np.array(frames, float).reshape(-1, 2)
+    polygons = [None] * len(flats)
+    for n, chunk in _kernel_chunks(size // 2 for size in sizes):
+        p = xy[starts[chunk, None] + np.arange(2 * n)].reshape(len(chunk), n, 2)
+        d = p[:, 1:] - p[:, :1]
+        area = 0.5 * np.add.accumulate(
+            d[:, :-1, 0] * d[:, 1:, 1] - d[:, 1:, 0] * d[:, :-1, 1], axis=1)[:, -1]
+        p[area < 0.0] = p[area < 0.0, ::-1]
+        # SampleRecord's frame check, in the same float bounds
+        outside = (p.min(axis=1) < -frames[chunk]) | (p.max(axis=1) > 2 * frames[chunk])
+        if not area.all() or outside.any() or _first_violation(p) is not None:
+            raise TypeError
+        for i, row in zip(chunk, p.reshape(len(chunk), 2 * n).tolist()):
+            # a repeated vertex fails the kernel: two edges not adjacent start
+            # there, or one of length 0 folds back (exact zeros either way)
+            it = iter(row)
+            polygons[i] = tuple(zip(it, it))
+    polygons = map(Polygon2D._trusted, polygons)
+    records = []
+    for image in images:
+        image = dict(image)
+        pose, pose_extra = image.pop("pose", None), {}
+        if pose is not None:
+            pose_extra = dict(_exact(pose, dict))
+            pose = ImagePose(*map(float, _numbers(
+                [pose_extra.pop(k, None) for k in ("tan_theta", "phi", "scale_s")])))
+        instances = []
+        for inst in image.pop("instances", []):
+            extra = dict(inst)
+            fp, roof, offset, h, score = map(
+                extra.pop, ("footprint", "roof", "offset", "height", "score"), (None,) * 5)
+            if offset is not None:
+                offset = Vec2(*map(float, _numbers(_exact(offset, list))))
+            h = None if h is None else float(_exact(h, int, float))
+            score = None if score is None else float(_exact(score, int, float))
+            fp = None if fp is None else next(polygons)
+            roof = None if roof is None else next(polygons)
+            _check_instance(fp, roof, offset, h, score)
+            instances.append(BuildingInstance._trusted(fp, roof, offset, h, score, extra))
+        # trusted: the id, the size and the frame of every ring are checked above
+        records.append(SampleRecord._trusted(image.pop("id"), image.pop("width"),
+                                             image.pop("height"), pose, tuple(instances), image,
+                                             pose_extra))
+    return tuple(records)
 
 
 def _read_json(path):

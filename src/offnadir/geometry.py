@@ -93,7 +93,7 @@ def offset_from_pose(height_m: float, pose: ImagePose) -> Vec2:
     The magnitude is ``height * scale_s * tan_theta`` and the direction is
     ``(cos phi, sin phi)``.
     """
-    if not math.isfinite(height_m) or height_m < 0:
+    if not _finite(height_m) or height_m < 0:
         raise ValueError(f"height must be finite and >= 0, got {height_m!r}")
     magnitude = height_m * pose.scale_s * pose.tan_theta
     return Vec2(magnitude * math.cos(pose.phi), magnitude * math.sin(pose.phi))
@@ -138,11 +138,11 @@ def estimate_pose(instances, scale_s: float) -> PoseFit:
     instances = list(instances)
     if not instances:
         raise ValueError("estimate_pose requires at least one instance")
-    if not (math.isfinite(scale_s) and scale_s > 0):
+    if not (_finite(scale_s) and scale_s > 0):
         raise ValueError(f"scale_s must be > 0, got {scale_s!r}")
     num_x = num_y = den = 0.0
     for h, v in instances:
-        if not (math.isfinite(h) and h > 0):
+        if not (_finite(h) and h > 0):
             raise ValueError(f"instance heights must be > 0, got {h!r}")
         w = h * scale_s
         num_x += w * v.dx
@@ -410,21 +410,29 @@ def _first_non_simple(rings):
         return None
     import numpy as np
 
+    found = {}
+    for n, chunk in _kernel_chunks(map(len, rings)):
+        if n in found:
+            continue  # later chunks of this group come later in rings
+        flat = chain.from_iterable(chain.from_iterable(rings[i] for i in chunk))
+        p = np.fromiter(flat, float, len(chunk) * n * 2).reshape(len(chunk), n, 2)
+        hit = _first_violation(p)
+        if hit is not None:
+            found[n] = (chunk[hit[0]], _simplicity_message(n, hit[1]))
+    return min(found.values(), default=None)
+
+
+def _kernel_chunks(counts):
+    """(n, indices) for the rings of each vertex count n in counts, in order,
+    in chunks of at most _BATCH_PAIRS edge pairs and _BATCH_EDGES edges (and
+    at least one ring): the bounds of one _first_violation call."""
     groups = {}
-    for index, verts in enumerate(rings):
-        groups.setdefault(len(verts), []).append(index)
-    found = []
+    for index, n in enumerate(counts):
+        groups.setdefault(n, []).append(index)
     for n, indices in groups.items():
         step = max(1, min(_BATCH_PAIRS // (n * n), _BATCH_EDGES // n))
         for s in range(0, len(indices), step):
-            chunk = indices[s:s + step]
-            flat = chain.from_iterable(chain.from_iterable(rings[i] for i in chunk))
-            p = np.fromiter(flat, float, len(chunk) * n * 2).reshape(len(chunk), n, 2)
-            hit = _first_violation(p)
-            if hit is not None:
-                found.append((chunk[hit[0]], _simplicity_message(n, hit[1])))
-                break  # later chunks of this group come later in rings
-    return min(found, default=None)
+            yield n, indices[s:s + step]
 
 
 # Coordinate differences stay within 2**501, so every orientation product

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .dataset import Dataset
-from .geometry import Polygon2D, translate_polygon
+from .geometry import Polygon2D, _finite, translate_polygon
 
 DEFAULT_EPSILON_PX = 1.0
 
@@ -241,9 +241,9 @@ def extrude_prism(footprint: Polygon2D, h: float, scale_s: float) -> Mesh3D:
     bottom cap sits at z = 0 and the top cap at z = h. For an n-gon the
     mesh has 2n vertices and 2(n - 2) + 2n triangles, wound outward.
     """
-    if not (math.isfinite(h) and h > 0):
+    if not (_finite(h) and h > 0):
         raise ValueError(f"height must be > 0, got {h!r}")
-    if not (math.isfinite(scale_s) and scale_s > 0):
+    if not (_finite(scale_s) and scale_s > 0):
         raise ValueError(f"scale_s must be > 0, got {scale_s!r}")
     ring = [(x / scale_s, y / scale_s) for x, y in footprint.vertices]
     if not all(math.isfinite(x) and math.isfinite(y) for x, y in ring):

@@ -15,7 +15,7 @@ import bisect
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .dataset import (
     BuildingInstance,
@@ -344,5 +344,8 @@ def degrade_dataset(d: Dataset, frac_oh: float, frac_h: float, seed: int) -> Dat
                 strip_annotations(x, drop_offset=True, drop_height=i not in to_h)
                 for x in r.instances
             )
-            records.append(replace(r, instances=insts))
+            # trusted: r passed every check, and stripping keeps each footprint
+            # and drops each roof, so every vertex left passed r's frame check
+            records.append(SampleRecord._trusted(r.image_id, r.width, r.height, r.pose, insts,
+                                                 r.extra, r.pose_extra))
     return Dataset(records=tuple(records), metadata=dict(d.metadata), extra=dict(d.extra))

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import os
@@ -530,6 +531,14 @@ def _load_outcome(doc):
         return str(e)
 
 
+@pytest.fixture
+def ring_by_ring(monkeypatch):
+    """Loads take the ring-by-ring route, as without numpy; its simplicity
+    checks still run in the kernel, since numpy is loaded."""
+    monkeypatch.setattr(dataset_module, "_numpy_loaded", lambda: False)
+
+
+@pytest.mark.usefixtures("ring_by_ring")
 @pytest.mark.parametrize("batch_pairs", [None, 1])
 def test_batched_simplicity_check_matches_per_polygon_loading(batch_pairs, monkeypatch):
     from offnadir import dataset, geometry
@@ -590,6 +599,7 @@ def _canonical_rings(doc):
     return rings
 
 
+@pytest.mark.usefixtures("ring_by_ring")
 @pytest.mark.parametrize("broadcast_min", [None, 41])
 def test_loop_route_without_numpy_matches_the_kernel_route(broadcast_min, monkeypatch):
     # numpy is loaded in the test process, so unpatched _first_non_simple
@@ -620,6 +630,7 @@ def test_loop_route_without_numpy_matches_the_kernel_route(broadcast_min, monkey
     assert found >= 100
 
 
+@pytest.mark.usefixtures("ring_by_ring")
 def test_loader_checks_pending_rings_a_kernel_chunk_at_a_time(monkeypatch):
     from offnadir import dataset, geometry
 
@@ -755,6 +766,129 @@ def test_valid_document_loads_to_the_dataset_the_public_constructors_build(doc):
     assert _floats(loaded) <= {float}
 
 
+def _workload_documents():
+    """Small ground truths and predictions of each benchmark workload, made
+    as the benchmark makes them, with fewer and smaller images."""
+    small = {"city": dict(image_w=96, image_h=96, buildings_per_image=[5, 5]),
+             "tiles": {}, "stars": dict(image_w=256, image_h=256)}
+    docs = {}
+    for name, wl in scenes.WORKLOADS.items():
+        config = dict(wl.synth, n_images=3, **small[name])
+        gt = dataset_to_json(generate_scenes(SynthConfig(**config, seed=11)))
+        if wl.stars:
+            gt = scenes.starify(gt, 11)
+        docs[f"{name} gt"], docs[f"{name} pred"] = gt, scenes.predictions(gt, 11)
+    return docs
+
+
+WORKLOADS = _workload_documents()
+WORKLOAD_PATHS = {name: list(_paths(doc))[1:] for name, doc in WORKLOADS.items()}
+
+
+def _on_both_routes(doc):
+    """doc as JSON text decoded (by the C or the pure-Python decoder), then
+    loaded on the batched route and on the ring-by-ring route: each a
+    Dataset or a DatasetError's text."""
+    doc = json.loads(json.dumps(doc))
+    batched = _load_outcome(doc)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dataset_module, "_numpy_loaded", lambda: False)
+        return batched, _load_outcome(doc)
+
+
+def _assert_same(batched, ring_by_ring):
+    # repr also tells -0.0 from 0.0 and an int from a float
+    assert batched == ring_by_ring
+    assert repr(batched) == repr(ring_by_ring)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_batched_route_loads_every_workload_document(name):
+    doc = json.loads(json.dumps(WORKLOADS[name]))
+    assert dataset_module._records_batched(doc["images"])  # raises where it would fall back
+    _assert_same(*_on_both_routes(doc))
+
+
+def test_batched_route_refuses_a_ring_whose_half_area_rounds_to_zero():
+    # twice its area is 2**-1074, half of that rounds to 0; the simplicity
+    # kernel finds no violation, so only the area check refuses the ring
+    tiny = 2.0**-537
+    doc = {"images": [{"id": "a", "width": 8, "height": 8,
+                       "instances": [{"footprint": [0, 0, tiny, 0, 0, tiny]}]}]}
+    batched, ring_by_ring = _on_both_routes(doc)
+    assert batched == ring_by_ring == "image 'a', instance 0: polygon has zero area"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 17])
+def test_batched_route_refuses_every_repeated_vertex(n):
+    # it runs no set() test: the area or the simplicity kernel refuses
+    # every ring with a repeated vertex, and the ring-by-ring route names it
+    ring = [(round(100 + 50 * math.cos(2 * math.pi * k / n), 3),
+             round(100 + 50 * math.sin(2 * math.pi * k / n), 3)) for k in range(n)]
+    for i, j in itertools.permutations(range(n), 2):
+        pts = list(ring)
+        pts[j] = pts[i]
+        images = [{"id": "a", "width": 200, "height": 200,
+                   "instances": [{"footprint": _flat(pts)}]}]
+        with pytest.raises(TypeError):
+            dataset_module._records_batched(images)
+        with pytest.raises(DatasetError, match=": polygon has repeated vertices$"):
+            dataset_from_json({"images": images})
+
+
+def test_batched_route_checks_the_frame_with_its_bounds_included():
+    # SampleRecord's frame is [-w, 2w] x [-h, 2h]
+    doc = {"images": [{"id": "a", "width": 10, "height": 8,
+                       "instances": [{"footprint": [-10, -8, 20, -8, 20, 16, -10, 16]}]}]}
+    assert dataset_module._records_batched(doc["images"])
+    _assert_same(*_on_both_routes(doc))
+    for k, beyond in enumerate((-10.000000000000002, -8.000000000000002, 20.000000000000004,
+                                16.000000000000004)):
+        bad = copy.deepcopy(doc)
+        bad["images"][0]["instances"][0]["footprint"][(0, 1, 2, 5)[k]] = beyond
+        with pytest.raises(TypeError):
+            dataset_module._records_batched(bad["images"])
+        _assert_same(*_on_both_routes(bad))
+        assert "outside the allowed frame" in _load_outcome(bad)
+    # from 2**53 on, SampleRecord compares with int bounds, which a float
+    # bound rounds: -(2**53 + 3) becomes -(2**53 + 4)
+    size = 2**53 + 3
+    doc = {"images": [{"id": "a", "width": size, "height": size,
+                       "instances": [{"footprint": [-(size + 1), 0, 0, 0, 0, 10]}]}]}
+    _assert_same(*_on_both_routes(doc))
+    assert "outside the allowed frame" in _load_outcome(doc)
+
+
+@pytest.mark.parametrize("size", [0, -1, True, 1.5, 2**53, 10**400, None, "8"])
+def test_batched_route_checks_the_size_of_an_image_without_rings(size):
+    for key in ("width", "height"):
+        doc = {"images": [{"id": "a", "width": 8, "height": 8, "instances": []}]}
+        doc["images"][0][key] = size
+        _assert_same(*_on_both_routes(doc))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_batched_route_loads_as_the_ring_by_ring_route(data):
+    # valid documents, workload documents with one hostile value or one
+    # deleted, and parity documents: equal datasets or the same error
+    source = data.draw(st.sampled_from(["valid", "hostile", "parity"]))
+    if source == "valid":
+        doc = data.draw(_valid_documents())
+    elif source == "hostile":
+        name = data.draw(st.sampled_from(sorted(WORKLOADS)))
+        path = data.draw(st.sampled_from(WORKLOAD_PATHS[name]))
+        value = data.draw(st.sampled_from(HOSTILE + [DELETE]))
+        doc = copy.deepcopy(WORKLOADS[name])
+        if value is DELETE:
+            del _parent(doc, path)[path[-1]]
+        else:
+            _set(doc, path, value)
+    else:
+        doc = _parity_document(random.Random(data.draw(st.integers(0, 2**32))))
+    _assert_same(*_on_both_routes(doc))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**64 - 1), st.booleans(), st.booleans(), st.booleans(), st.booleans())
 def test_stripped_instances_equal_the_checked_constructions(synth_seed, drop_offset, drop_height,
@@ -812,6 +946,24 @@ def test_degrade_strips_the_records_its_documented_shuffle_picks(synth_seed, fra
             for inst in r.instances
         )
         assert grade_sample(g) == (SupervisionLevel.H if i in keep_h else SupervisionLevel.N)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1), st.floats(0.0, 0.5), st.floats(0.0, 0.5),
+       st.integers(0, 2**32), st.booleans())
+def test_degraded_records_equal_the_checked_constructions(synth_seed, frac_oh, frac_h, seed,
+                                                          extras):
+    # degrade_dataset builds each stripped record trusted; the checking
+    # constructor gives the same
+    d = generate_scenes(SynthConfig(
+        image_w=64, image_h=64, n_images=6, buildings_per_image=(1, 3), seed=synth_seed))
+    if extras:
+        d = replace(d, records=tuple(replace(r, extra={"tag": "t"}, pose_extra={"sensor": "s"})
+                                     for r in d.records))
+    for r, g in zip(d.records, degrade_dataset(d, frac_oh, frac_h, seed).records):
+        assert type(g.instances) is tuple
+        assert g == SampleRecord(r.image_id, r.width, r.height, r.pose, g.instances, r.extra,
+                                 r.pose_extra)
 
 
 def test_offset_without_height_loads_and_grades_n(tmp_path):

@@ -529,9 +529,10 @@ def test_simplicity_route_table(sizes, numpy_loaded, route, monkeypatch):
     assert ("kernel" if kernel else "loop") == route
 
 
-def test_huge_ring_checked_in_bounded_memory():
+def test_huge_ring_checked_in_bounded_memory(monkeypatch):
     import tracemalloc
 
+    from offnadir import dataset
     from offnadir.dataset import DatasetError, dataset_from_json
 
     n = 20_000
@@ -540,23 +541,26 @@ def test_huge_ring_checked_in_bounded_memory():
     crossed = list(circle)
     crossed[100], crossed[10_100] = crossed[10_100], crossed[100]
     message = "polygon is not simple (self-intersection)"
-    for verts, simple in ((circle, True), (crossed, False)):
-        doc = {"images": [{"id": "a", "width": 2000, "height": 2000,
-                           "instances": [{"footprint": [c for p in verts for c in p]}]}]}
-        tracemalloc.start()
-        try:
-            if simple:
-                assert len(Polygon2D(tuple(verts))) == n
-                dataset_from_json(doc)
-            else:
-                with pytest.raises(ValueError, match=re.escape(message)):
-                    Polygon2D(tuple(verts))
-                with pytest.raises(DatasetError, match=re.escape(f"instance 0: {message}")):
-                    dataset_from_json(doc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+    for batched in (True, False):  # the loader's batched and ring-by-ring routes
+        monkeypatch.setattr(dataset, "_numpy_loaded", lambda: batched)
+        for verts, simple in ((circle, True), (crossed, False)):
+            doc = {"images": [{"id": "a", "width": 2000, "height": 2000,
+                               "instances": [{"footprint": [c for p in verts for c in p]}]}]}
+            tracemalloc.start()
+            try:
+                if simple:
+                    assert len(Polygon2D(tuple(verts))) == n
+                    assert dataset_from_json(doc).records[0].instances[0].footprint.vertices == (
+                        Polygon2D(tuple(verts)).vertices)
+                else:
+                    with pytest.raises(ValueError, match=re.escape(message)):
+                        Polygon2D(tuple(verts))
+                    with pytest.raises(DatasetError, match=re.escape(f"instance 0: {message}")):
+                        dataset_from_json(doc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, (batched, simple)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +630,13 @@ HUGE = 10**400  # an int too large for a float: math.isfinite raises on it
     (lambda: BBox(-HUGE, 0, 1, 1), r"^BBox\.x_min must be finite$"),
     (lambda: Polygon2D(((0, 0), (HUGE, 0), (1, 1))),
      r"^polygon vertex coordinates must lie within \+-2\*\*500$"),
-], ids=["vec2", "image-pose", "bbox-max", "bbox-min", "polygon"])
+    (lambda: offset_from_pose(HUGE, ImagePose(0.5, 0.0, 1.0)),
+     r"^height must be finite and >= 0, got 10{400}$"),
+    (lambda: estimate_pose([(HUGE, Vec2(1.0, 0.0))], 1.0),
+     r"^instance heights must be > 0, got 10{400}$"),
+    (lambda: estimate_pose([(1.0, Vec2(1.0, 0.0))], HUGE), r"^scale_s must be > 0, got 10{400}$"),
+], ids=["vec2", "image-pose", "bbox-max", "bbox-min", "polygon", "offset-from-pose-height",
+        "estimate-pose-height", "estimate-pose-scale"])
 def test_an_int_too_large_for_a_float_is_a_value_error(build, message):
     with pytest.raises(ValueError, match=message):
         build()

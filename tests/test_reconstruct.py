@@ -299,6 +299,16 @@ def test_prism_validation():
         extrude_prism(p, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("h, scale_s, message", [
+    (10**400, 1.0, r"^height must be > 0, got 10{400}$"),
+    (1.0, 10**400, r"^scale_s must be > 0, got 10{400}$"),
+], ids=["height", "scale"])
+def test_prism_refuses_an_int_too_large_for_a_float(h, scale_s, message):
+    p = Polygon2D(((0, 0), (1, 0), (1, 1), (0, 1)))
+    with pytest.raises(ValueError, match=message):
+        extrude_prism(p, h, scale_s)
+
+
 def test_prism_rejects_coordinates_that_overflow_the_scale():
     p = Polygon2D(((0, 0), (1, 0), (1, 1), (0, 1)))
     with pytest.raises(ValueError, match="overflow"):
