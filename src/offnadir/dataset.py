@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import errno
 import functools
 import gc
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
@@ -242,6 +245,10 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
+_RECORD_KEYS = frozenset(("id", "width", "height", "pose", "instances"))
+_INSTANCE_KEYS = ("footprint", "roof", "offset", "height", "score")
+_INSTANCE_KEY_SET = frozenset(_INSTANCE_KEYS)
+
 
 def _parse(where: str, parse, value):
     """parse(value), reporting a value of the wrong type, one too large for a
@@ -402,16 +409,15 @@ def _record_from_json(obj, index: int, pending: _PendingRings) -> SampleRecord:
     )
 
 
+def _pose_to_json(r: SampleRecord) -> dict:
+    return {"tan_theta": r.pose.tan_theta, "phi": r.pose.phi, "scale_s": r.pose.scale_s,
+            **r.pose_extra}
+
+
 def _record_to_json(r: SampleRecord) -> dict:
     out = {"id": r.image_id, "width": r.width, "height": r.height}
     if r.pose is not None:
-        pose = {
-            "tan_theta": r.pose.tan_theta,
-            "phi": r.pose.phi,
-            "scale_s": r.pose.scale_s,
-        }
-        pose.update(r.pose_extra)
-        out["pose"] = pose
+        out["pose"] = _pose_to_json(r)
     out["instances"] = [_instance_to_json(i) for i in r.instances]
     out.update(r.extra)
     return out
@@ -446,9 +452,9 @@ def dataset_from_json(obj) -> Dataset:
         return Dataset(records=tuple(records), metadata=metadata, extra=obj)
 
 
-def _exact(value, *types):
-    """value, or a TypeError unless its type is one of types."""
-    if type(value) not in types:
+def _exact(value, kind):
+    """value, or a TypeError unless its type is exactly kind."""
+    if type(value) is not kind:
         raise TypeError
     return value
 
@@ -465,38 +471,65 @@ def _records_batched(images) -> tuple:
     (DatasetError, ValueError, OverflowError or TypeError) where a value is
     not exactly of its JSON type or a check fails.
 
-    Every coordinate is converted in one pass. Rings of equal vertex count
-    are canonicalized and checked together in the simplicity kernel's
-    chunks: the +-2**500 bound, _signed_area's sum (its operations in its
-    order), the reversal of a negative winding, the frame of the ring's
-    image and the kernel. Instances are checked by _check_instance.
+    One walk collects every ring, offset, height and score; each column is
+    converted in one pass. Rings of equal vertex count are canonicalized and
+    checked together in the simplicity kernel's chunks: the +-2**500 bound,
+    _signed_area's sum (its operations in its order), the reversal of a
+    negative winding, the frame of the ring's image and the kernel. Then
+    _check_instance's checks run on the columns, the roof deviation on the
+    canonical coordinates, with the same float operations.
     """
     import numpy as np
 
     flats, frames = [], []  # the rings, and the width and height of each one's image
+    offsets, heights, scores = [], [], []
+    paired = []  # the footprint ring and the offset of each instance that also has a roof
     for image in images:
         frame = [_exact(_exact(image, dict).get(k), int) for k in ("width", "height")]
         if not (type(image.get("id")) is str and 0 < min(frame) and max(frame) < 2**53):
             raise TypeError
         for inst in _exact(image.get("instances", []), list):
-            for flat in (_exact(inst, dict).get("footprint"), inst.get("roof")):
+            fp, roof, offset, h, score = map(_exact(inst, dict).get, _INSTANCE_KEYS)
+            if fp is None and (roof is None or offset is None):
+                raise TypeError
+            if offset is not None:
+                if len(_exact(offset, list)) != 2:
+                    raise TypeError
+                if fp is not None and roof is not None:
+                    paired += (len(flats), len(offsets))
+                offsets.append(offset)
+            for flat in (fp, roof):
                 if flat is not None:
                     flats.append(_exact(flat, list))
                     frames.append(frame)
-    _numbers(chain.from_iterable(flats))  # every coordinate
+            if h is not None:
+                heights.append(h)
+            if score is not None:
+                scores.append(score)
+    # every coordinate, offset component, height and score
+    _numbers(chain(chain.from_iterable(flats), chain.from_iterable(offsets), heights, scores))
+    offsets = np.fromiter(map(float, chain.from_iterable(offsets)), float, 2 * len(offsets))
+    heights = np.fromiter(map(float, heights), float, len(heights))
+    scores = np.fromiter(map(float, scores), float, len(scores))
+    if not (np.isfinite(offsets).all() and ((heights >= 0.0) & (heights < np.inf)).all()
+            and ((scores >= 0.0) & (scores <= 1.0)).all()):
+        raise TypeError  # also for NaN, which fails every comparison
     sizes = [len(flat) if len(flat) % 2 == 0 else 0 for flat in flats]  # odd: 0, refused below
     xy = np.fromiter(map(float, chain.from_iterable(flats)), float, sum(sizes))
     if not (min(sizes, default=6) >= 6 and np.abs(xy).max(initial=0.0) <= _MAX_COORD):
         raise TypeError  # also for NaN, which fails every comparison
-    starts = np.cumsum([0] + sizes[:-1])
+    sizes = np.array(sizes, int)
+    starts = np.cumsum(sizes) - sizes
     frames = np.array(frames, float).reshape(-1, 2)
     polygons = [None] * len(flats)
-    for n, chunk in _kernel_chunks(size // 2 for size in sizes):
-        p = xy[starts[chunk, None] + np.arange(2 * n)].reshape(len(chunk), n, 2)
+    for n, chunk in _kernel_chunks(size // 2 for size in sizes.tolist()):
+        at = starts[chunk, None] + np.arange(2 * n)
+        p = xy[at].reshape(len(chunk), n, 2)
         d = p[:, 1:] - p[:, :1]
         area = 0.5 * np.add.accumulate(
             d[:, :-1, 0] * d[:, 1:, 1] - d[:, 1:, 0] * d[:, :-1, 1], axis=1)[:, -1]
         p[area < 0.0] = p[area < 0.0, ::-1]
+        xy[at] = p.reshape(len(chunk), 2 * n)  # canonical, for the roof deviation
         # SampleRecord's frame check, in the same float bounds
         outside = (p.min(axis=1) < -frames[chunk]) | (p.max(axis=1) > 2 * frames[chunk])
         if not area.all() or outside.any() or _first_violation(p) is not None:
@@ -506,7 +539,21 @@ def _records_batched(images) -> tuple:
             # there, or one of length 0 folds back (exact zeros either way)
             it = iter(row)
             polygons[i] = tuple(zip(it, it))
+    if paired:
+        # _check_instance's roof - (footprint - offset), coordinate by coordinate:
+        # a roof's ring follows its footprint's, and every ring starts at an even index
+        fp, offset = np.array(paired).reshape(-1, 2).T
+        n = sizes[fp]
+        if (n != sizes[fp + 1]).any():
+            raise TypeError
+        at = np.arange(n.sum()) + np.repeat(starts[fp] - (np.cumsum(n) - n), n)
+        dev = np.abs(xy[at + np.repeat(n, n)]
+                     - (xy[at] - offsets.reshape(-1, 2)[np.repeat(offset, n), at % 2]))
+        if not (dev <= ROOF_OFFSET_TOL_PX).all():
+            raise TypeError
     polygons = map(Polygon2D._trusted, polygons)
+    vectors = (Vec2._trusted(dx, dy) for dx, dy in offsets.reshape(-1, 2).tolist())
+    heights, scores = iter(heights.tolist()), iter(scores.tolist())
     records = []
     for image in images:
         image = dict(image)
@@ -517,17 +564,14 @@ def _records_batched(images) -> tuple:
                 [pose_extra.pop(k, None) for k in ("tan_theta", "phi", "scale_s")])))
         instances = []
         for inst in image.pop("instances", []):
-            extra = dict(inst)
-            fp, roof, offset, h, score = map(
-                extra.pop, ("footprint", "roof", "offset", "height", "score"), (None,) * 5)
-            if offset is not None:
-                offset = Vec2(*map(float, _numbers(_exact(offset, list))))
-            h = None if h is None else float(_exact(h, int, float))
-            score = None if score is None else float(_exact(score, int, float))
-            fp = None if fp is None else next(polygons)
-            roof = None if roof is None else next(polygons)
-            _check_instance(fp, roof, offset, h, score)
-            instances.append(BuildingInstance._trusted(fp, roof, offset, h, score, extra))
+            fp, roof, offset, h, score = map(inst.get, _INSTANCE_KEYS)
+            # trusted: the columns and rings are checked above
+            instances.append(BuildingInstance._trusted(
+                None if fp is None else next(polygons), None if roof is None else next(polygons),
+                None if offset is None else next(vectors), None if h is None else next(heights),
+                None if score is None else next(scores),
+                {} if _INSTANCE_KEY_SET.issuperset(inst)
+                else {k: v for k, v in inst.items() if k not in _INSTANCE_KEY_SET}))
         # trusted: the id, the size and the frame of every ring are checked above
         records.append(SampleRecord._trusted(image.pop("id"), image.pop("width"),
                                              image.pop("height"), pose, tuple(instances), image,
@@ -562,6 +606,36 @@ def _level(depth: int) -> tuple:
                           None, ": ", sep, False, False, False), sep
 
 
+@functools.cache
+def _instance_layout(depth: int) -> tuple:
+    """For an instance at depth: the encoder of its numbers; the texts that
+    open it, separate its keys and close it; the text that closes a list;
+    and the text that leads each fixed key's value, a list's opening
+    bracket included."""
+    enc, sep = _level(depth + 2)
+    key_sep = _level(depth + 1)[1]
+    heads = ('"footprint": [' + sep[1:], '"roof": [' + sep[1:], '"offset": [' + sep[1:],
+             '"height": ', '"score": ')
+    return enc, "{" + key_sep[1:], key_sep, key_sep[1:-2] + "}", sep[1:-2] + "]", heads
+
+
+def _instance_text(inst: BuildingInstance, depth: int) -> str:
+    """_instance_to_json(inst) as _dump writes it at depth, for an instance
+    without extra keys: each ring's numbers in one C call."""
+    enc, opening, key_sep, closing, end, (fp, roof, offset, height, score) = (
+        _instance_layout(depth))
+    items = []
+    for head, p in ((fp, inst.footprint), (roof, inst.roof)):
+        if p is not None:
+            items.append(head + "".join(enc(_polygon_to_flat(p), 0))[1:-1] + end)
+    if inst.offset is not None:
+        items.append(offset + "".join(enc([inst.offset.dx, inst.offset.dy], 0))[1:-1] + end)
+    for head, x in ((height, inst.height), (score, inst.score)):
+        if x is not None:
+            items.append(head + "".join(enc([x], 0))[1:-1])
+    return opening + key_sep.join(items) + closing
+
+
 def _dump(obj, f) -> None:
     """json.dump(obj, f, indent=2, allow_nan=False), byte for byte, written
     in pieces of at most about 128 strings or 8 KB of scalar containers.
@@ -570,25 +644,76 @@ def _dump(obj, f) -> None:
     holds a container is walked item by item. A dict that holds one is one
     C call over a copy with null for each non-empty container; that text is
     cut at the separators (encoded keys and scalars hold no raw newline),
-    and each of those nulls is replaced by its container's text.
+    and each of those nulls is replaced by its container's text. A
+    SampleRecord is written as _record_to_json gives it, straight from its
+    fields: an instance without extra keys as _instance_text gives it, the
+    rest through the generic walk.
     """
     pending = []
     size = 0  # characters of the scalar-only containers pending
 
-    def walk(o, depth):
+    def members(o, depth, buf):
+        """Write the items of dict o at depth + 1 after buf, the text before
+        the first; return the text before the next."""
+        enc, sep = _level(depth + 1)
+        text = "".join(enc(
+            {k: None if isinstance(v, _CONTAINERS) and v else v for k, v in o.items()}, 0))
+        for part, v in zip(text[1:-1].split(sep), o.values()):
+            if isinstance(v, _CONTAINERS) and v:
+                pending.append(buf + part[:-4])  # '"key": null' less its null
+                walk(v, depth + 1)
+                buf = sep
+            else:
+                buf += part + sep
+        return buf
+
+    def record(r, depth):
+        nonlocal size
+        sep = _level(depth + 1)[1]
+        head = {"id": r.image_id, "width": r.width, "height": r.height}
+        if r.pose is not None:
+            head["pose"] = _pose_to_json(r)
+        buf = members(head, depth, "{" + sep[1:]) + '"instances": '
+        if r.instances:
+            item_sep = _level(depth + 2)[1]
+            buf += "[" + item_sep[1:]
+            for inst in r.instances:
+                spill()
+                pending.append(buf)
+                if inst.extra:
+                    walk(_instance_to_json(inst), depth + 2)
+                else:
+                    text = _instance_text(inst, depth + 2)
+                    size += len(text)
+                    pending.append(text)
+                buf = item_sep
+            buf = item_sep[1:-2] + "]"
+        else:
+            buf += "[]"
+        if r.extra:
+            buf = members(r.extra, depth, buf + sep)[:-len(sep)]
+        pending.append(buf + sep[1:-2] + "}")
+
+    def spill():
         nonlocal size
         if len(pending) >= 128 or size >= 8192:
             f.write("".join(pending))
             pending.clear()
             size = 0
+
+    def walk(o, depth):
+        nonlocal size
+        spill()
         enc, sep = _level(depth + 1)
         inner, outer = sep[1:], sep[1:-2]
         if isinstance(o, (list, tuple)):
             items = o
         elif isinstance(o, dict):
             items = o.values()
-        elif isinstance(o, SampleRecord):  # save_dataset's: built when reached
-            return walk(_record_to_json(o), depth)
+        elif isinstance(o, SampleRecord):  # save_dataset's: written when reached
+            if _RECORD_KEYS.isdisjoint(o.extra):
+                return record(o, depth)
+            return walk(_record_to_json(o), depth)  # an extra key replaces a fixed one
         else:
             pending.append("".join(enc([o], 0))[1:-1])
             return
@@ -608,20 +733,23 @@ def _dump(obj, f) -> None:
                 buf = sep
             pending.append(outer + "]")
         else:
-            text = "".join(enc(
-                {k: None if isinstance(v, _CONTAINERS) and v else v for k, v in o.items()}, 0))
-            buf = "{" + inner
-            for part, v in zip(text[1:-1].split(sep), items):
-                if isinstance(v, _CONTAINERS) and v:
-                    pending.append(buf + part[:-4])  # '"key": null' less its null
-                    walk(v, depth + 1)
-                    buf = sep
-                else:
-                    buf += part + sep
-            pending.append(buf[:-len(sep)] + outer + "}")
+            pending.append(members(o, depth, "{" + inner)[:-len(sep)] + outer + "}")
 
     walk(obj, 0)
     f.write("".join(pending))
+
+
+def _encode(obj, f, path) -> None:
+    # _write_json's encoding of obj to the open text file f
+    try:
+        if c_make_encoder is None:
+            json.dump(obj, f, indent=2, allow_nan=False, default=lambda o: _record_to_json(o)
+                      if isinstance(o, SampleRecord) else json.JSONEncoder().default(o))
+        else:
+            _dump(obj, f)
+    except ValueError as e:
+        raise DatasetError(f"cannot write {path}: {e}") from e
+    f.write("\n")
 
 
 def _write_json(obj, path) -> None:
@@ -630,20 +758,50 @@ def _write_json(obj, path) -> None:
 
     A non-finite float (or an int too long for str) is a DatasetError that
     names the path. Without the _json accelerator, json.dump writes it. A
-    SampleRecord in obj is written as _record_to_json gives it, which is
-    built only when the writer reaches it.
+    SampleRecord in obj is written as _record_to_json gives it, straight
+    from its fields when the writer reaches it.
+
+    A file is written to a temporary file beside the file that path
+    resolves to, which then replaces it: on any error the temporary file
+    is removed and an existing output keeps its bytes. A symlink stays a
+    symlink, an existing output keeps its permission bits, and a new one
+    gets those open(path, "w") gives it; an output open(path, "w") could
+    not write is refused. "-", and an existing path that is not a regular
+    file (/dev/null, a FIFO), are written in place.
     """
-    with (contextlib.nullcontext(sys.stdout) if path == "-"
-          else open(path, "w", encoding="utf-8", newline="\n")) as f:
+    if path == "-":
+        return _encode(obj, sys.stdout, path)
+    real = os.path.realpath(path)
+    try:
+        mode = os.stat(real).st_mode
+    except OSError:  # none there, or none to see: a new file
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            return _encode(obj, f, path)
+    if mode is not None and not os.access(real, os.W_OK):  # refused as open(path, "w") would
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+    folder, name = os.path.split(real)
+    while True:
+        tmp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
         try:
-            if c_make_encoder is None:
-                json.dump(obj, f, indent=2, allow_nan=False, default=lambda o: _record_to_json(o)
-                          if isinstance(o, SampleRecord) else json.JSONEncoder().default(o))
-            else:
-                _dump(obj, f)
-        except ValueError as e:
-            raise DatasetError(f"cannot write {path}: {e}") from e
-        f.write("\n")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # umask applies
+            break
+        except FileExistsError:
+            continue
+        except OSError as e:  # no such folder, or one not writable: name the output
+            e.filename = os.fspath(path)
+            raise
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as f:
+            if mode is not None:
+                os.chmod(fd, stat.S_IMODE(mode))
+            _encode(obj, f, path)
+        os.replace(tmp, real)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_dataset(path) -> Dataset:

@@ -50,6 +50,13 @@ class Vec2:
         if bool in (type(dx), type(dy)) or not (_finite(dx) and _finite(dy)):
             raise ValueError(f"Vec2 components must be finite numbers, got ({dx!r}, {dy!r})")
 
+    @classmethod
+    def _trusted(cls, dx: float, dy: float) -> "Vec2":
+        """Vector over components its caller has proven to be finite floats."""
+        v = object.__new__(cls)
+        vars(v).update(dx=dx, dy=dy)
+        return v
+
     def norm(self) -> float:
         return math.hypot(self.dx, self.dy)
 

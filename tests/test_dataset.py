@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import itertools
 import json
@@ -8,6 +9,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -222,6 +224,83 @@ def test_save_dataset_writes_json_dumps_of_dataset_to_json(
         monkeypatch.setattr(dataset_module, "c_make_encoder", None)
     path = tmp_path / "d.json"
     save_dataset(d, path)
+    assert path.read_bytes() == (json.dumps(dataset_to_json(d), indent=2) + "\n").encode()
+
+
+class _F(float):
+    """A float subclass with a repr of its own, which JSON does not use."""
+
+    def __repr__(self):
+        return f"_F({float.__repr__(self)})"
+
+
+_FIXED_KEYS = ["id", "width", "height", "pose", "instances", "footprint", "roof", "offset",
+               "score", "tan_theta", "phi", "scale_s", "images", "metadata"]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.floats(0, 10).map(_F),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+# extra keys, often one of the fixed keys of some level
+_extras = st.dictionaries(st.sampled_from(_FIXED_KEYS) | st.text(max_size=3), _json_values,
+                          max_size=3)
+
+
+def _number(lo, hi):
+    """An int, a float or a float subclass in [lo, hi]."""
+    return st.integers(math.ceil(lo), math.floor(hi)) | st.floats(lo, hi) | st.floats(lo, hi).map(_F)
+
+
+@st.composite
+def _api_datasets(draw):
+    """Datasets built through the public constructors: int and float-subclass
+    numbers, extras that collide with fixed keys, roof-only instances, empty
+    instance lists, and ids with non-ASCII and control characters."""
+    ids = draw(st.lists(st.text(st.characters(exclude_categories=()), max_size=4), max_size=4,
+                        unique=True))
+    records = []
+    for image_id in ids:
+        pose = None
+        if draw(st.booleans()):
+            pose = ImagePose(draw(_number(0, 2)), draw(st.floats(-7, 7)), draw(_number(0.5, 3)))
+        instances = []
+        for _ in range(draw(st.integers(0, 3))):
+            x, y, w, h = (draw(st.integers(0, 40)) for _ in range(4))
+            footprint = Polygon2D(((x, y), (x + w + 1, y), (x + w + 1, y + h + 1), (x, y + h + 1)))
+            offset = roof = None
+            if draw(st.booleans()):
+                offset = Vec2(draw(_number(-8, 8)), draw(_number(-8, 8)))
+                if draw(st.booleans()):
+                    roof = translate_polygon(footprint, -offset)
+                    if draw(st.booleans()):
+                        footprint = None  # roof only
+            instances.append(BuildingInstance(
+                footprint, roof, offset, draw(st.none() | _number(0, 90)),
+                draw(st.none() | _number(0, 1)), draw(_extras)))
+        records.append(SampleRecord(image_id, draw(st.integers(64, 200) | st.just(2**70)),
+                                    draw(st.integers(64, 200)), pose, tuple(instances),
+                                    draw(_extras), draw(_extras) if pose else {}))
+    return Dataset(records, draw(_extras), draw(_extras))
+
+
+@pytest.fixture(scope="module")
+def save_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("save")
+
+
+@pytest.mark.parametrize("encoder", ["c", "fallback"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=_api_datasets())
+def test_save_dataset_writes_what_json_dumps_writes(save_dir, encoder, d):
+    # the record writer formats each record from its fields, yet every
+    # byte, int, float subclass and colliding extra key included, is
+    # json.dumps's
+    path = save_dir / "d.json"
+    with (mock.patch.object(dataset_module, "c_make_encoder", None) if encoder == "fallback"
+          else contextlib.nullcontext()):
+        save_dataset(d, path)
     assert path.read_bytes() == (json.dumps(dataset_to_json(d), indent=2) + "\n").encode()
 
 
@@ -867,13 +946,64 @@ def test_batched_route_checks_the_size_of_an_image_without_rings(size):
         _assert_same(*_on_both_routes(doc))
 
 
+def _edge_document(edge: str):
+    """One instance, footprint - offset == roof, with the values of EDGES[edge]
+    (null being as good as absent) at an edge of _check_instance's checks."""
+    inst = {"footprint": [10, 10, 20, 10, 20, 20, 10, 20], "roof": [0, 0, 10, 0, 10, 10, 0, 10],
+            "offset": [10, 10], "height": 5.0, "score": 0.5}
+    inst.update(EDGES[edge])
+    return {"images": [{"id": "a", "width": 64, "height": 64, "instances": [inst]}]}
+
+
+EDGES = {
+    "score 1.0000000000000002": {"score": 1.0000000000000002},
+    "score -0.0": {"score": -0.0},
+    "score 1": {"score": 1},
+    "height -5e-324": {"height": -5e-324},
+    "height NaN": {"height": math.nan},
+    "height Infinity": {"height": math.inf},
+    # a roof this far away would be beyond the frame
+    "offset [1e308, -1e308]": {"offset": [1e308, -1e308], "roof": None},
+    "offset [2**1024, 0]": {"offset": [2**1024, 0], "roof": None},
+    "offset [1, 2, 3]": {"offset": [1, 2, 3], "roof": None},
+    "offset [Infinity, 0]": {"offset": [math.inf, 0], "roof": None},
+    # roof x0 - (footprint x0 - dx) is 1e-6 - 0.0, exactly the tolerance
+    "roof off by 1e-6": {"roof": [1e-6, 0, 10, 0, 10, 10, 0, 10]},
+    "roof off by the next float": {"roof": [math.nextafter(1e-6, 1.0), 0, 10, 0, 10, 10, 0, 10]},
+    "roof wound opposite": {"roof": [0, 10, 10, 10, 10, 0, 0, 0]},
+    # the footprint's four vertices less the offset, and one more or one fewer
+    "roof with one vertex more": {"roof": [0, 0, 10, 0, 10, 10, 0, 10, -5, 5]},
+    "roof with one vertex fewer": {"roof": [0, 0, 10, 0, 10, 10]},
+    "roof and offset only": {"footprint": None},
+    "roof only": {"footprint": None, "offset": None},
+}
+EDGES_LOADED = {"score -0.0", "score 1", "offset [1e308, -1e308]", "roof off by 1e-6",
+                "roof wound opposite", "roof and offset only"}
+
+
+@pytest.mark.parametrize("edge", sorted(EDGES))
+def test_batched_route_agrees_at_the_instance_edges(edge):
+    doc = json.loads(json.dumps(_edge_document(edge)))
+    batched, ring_by_ring = _on_both_routes(doc)
+    _assert_same(batched, ring_by_ring)
+    assert isinstance(batched, Dataset) == (edge in EDGES_LOADED), batched
+    if edge in EDGES_LOADED:
+        assert dataset_module._records_batched(doc["images"])  # taken, not fallen back from
+    else:
+        with pytest.raises((TypeError, OverflowError)):
+            dataset_module._records_batched(doc["images"])
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_batched_route_loads_as_the_ring_by_ring_route(data):
     # valid documents, workload documents with one hostile value or one
-    # deleted, and parity documents: equal datasets or the same error
-    source = data.draw(st.sampled_from(["valid", "hostile", "parity"]))
-    if source == "valid":
+    # deleted, parity documents and instance edges: equal datasets or the
+    # same error
+    source = data.draw(st.sampled_from(["valid", "hostile", "parity", "edge"]))
+    if source == "edge":
+        doc = _edge_document(data.draw(st.sampled_from(sorted(EDGES))))
+    elif source == "valid":
         doc = data.draw(_valid_documents())
     elif source == "hostile":
         name = data.draw(st.sampled_from(sorted(WORKLOADS)))

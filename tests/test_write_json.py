@@ -2,13 +2,17 @@
 
 Each case runs through the C-encoder writer and through its fallback (the
 module's c_make_encoder binding patched to None), to a file and to stdout.
+A file is replaced only once it is written whole.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import re
+import stat
+import threading
 from collections import OrderedDict
 from unittest import mock
 
@@ -118,3 +122,105 @@ def test_non_finite_numbers_are_a_dataset_error_naming_the_path(tmp_path, path_k
     message = re.escape(f"cannot write {path}: Out of range float")
     with _encoders(path_kind), pytest.raises(DatasetError, match=message):
         _write_json(obj, path)
+
+
+def _leftovers(folder) -> list:
+    return sorted(p.name for p in folder.iterdir() if p.name.endswith(".tmp"))
+
+
+@pytest.mark.parametrize("path_kind", PATHS)
+def test_a_failed_write_keeps_the_old_output_and_leaves_no_temporary_file(tmp_path, path_kind):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    with _encoders(path_kind), pytest.raises(DatasetError, match="Out of range float"):
+        _write_json({"a": list(range(5000)) + [math.inf]}, path)
+    assert path.read_text() == "old\n"
+    assert _leftovers(tmp_path) == []
+
+
+def test_an_interrupted_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def interrupted(obj, f, path):
+        f.write("[")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(dataset, "_encode", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _write_json([1], tmp_path / "out.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_write_replaces_the_output_and_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("a much longer old text than the new one\n" * 100)
+    _write_json([1], path)
+    assert path.read_bytes() == _expected([1])
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_a_symlinked_output_stays_a_symlink(tmp_path):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "real.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    _write_json({"k": [1.5]}, link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _expected({"k": [1.5]})
+    assert _leftovers(tmp_path) == _leftovers(tmp_path / "data") == []
+    # a dangling link: the file it names is made, as open(link, "w") would
+    target.unlink()
+    _write_json([], link)
+    assert link.is_symlink() and target.read_bytes() == _expected([])
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o755])
+def test_an_existing_output_keeps_its_permission_bits(tmp_path, mode):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    path.chmod(mode)
+    _write_json([1], path)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_a_new_output_gets_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "reference.json", "w"):
+            pass
+        _write_json([1], tmp_path / "out.json")
+    finally:
+        os.umask(old)
+    assert (stat.S_IMODE((tmp_path / "out.json").stat().st_mode)
+            == stat.S_IMODE((tmp_path / "reference.json").stat().st_mode))
+
+
+def test_a_path_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    _write_json({"k": [1]}, os.devnull)
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = {}
+    reader = threading.Thread(target=lambda: read.update(data=fifo.read_bytes()))
+    reader.start()
+    _write_json({"k": [1]}, fifo)
+    reader.join(timeout=10)
+    assert read["data"] == _expected({"k": [1]})
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and _leftovers(tmp_path) == []
+
+
+def test_an_output_in_a_missing_folder_is_an_os_error_that_names_it(tmp_path):
+    path = tmp_path / "missing" / "out.json"
+    with pytest.raises(FileNotFoundError, match=re.escape(f": '{path}'")):
+        _write_json([1], path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_output_open_could_not_write_keeps_its_bytes(tmp_path, monkeypatch):
+    # os.access stands in for a read-only file, which root could still write
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    monkeypatch.setattr(os, "access", lambda p, mode: not (p == str(path) and mode == os.W_OK))
+    with pytest.raises(PermissionError, match=re.escape(f": '{path}'")):
+        _write_json([1], path)
+    assert path.read_text() == "old\n" and [p.name for p in tmp_path.iterdir()] == ["out.json"]
