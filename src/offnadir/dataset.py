@@ -760,17 +760,20 @@ def _write_json(obj, path) -> None:
     names the path. Without the _json accelerator, json.dump writes it. A
     SampleRecord in obj is written as _record_to_json gives it, straight
     from its fields when the writer reaches it.
-
-    A file is written to a temporary file beside the file that path
-    resolves to, which then replaces it: on any error the temporary file
-    is removed and an existing output keeps its bytes. A symlink stays a
-    symlink, an existing output keeps its permission bits, and a new one
-    gets those open(path, "w") gives it; an output open(path, "w") could
-    not write is refused. "-", and an existing path that is not a regular
-    file (/dev/null, a FIFO), are written in place.
     """
     if path == "-":
         return _encode(obj, sys.stdout, path)
+    _replace_file(path, lambda f: _encode(obj, f, path))
+
+
+def _replace_file(path, write) -> None:
+    """Call write(f) on a UTF-8 text file f, with LF line ends, beside the
+    file path resolves to, and replace that file with f once written whole:
+    on any error f is removed and an existing output keeps its bytes. A
+    symlink stays a symlink, an existing output keeps its permission bits,
+    and a new one gets those open(path, "w") gives it; an output
+    open(path, "w") could not write is refused. An existing path that is
+    not a regular file (/dev/null, a FIFO) is written in place."""
     real = os.path.realpath(path)
     try:
         mode = os.stat(real).st_mode
@@ -778,7 +781,7 @@ def _write_json(obj, path) -> None:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            return _encode(obj, f, path)
+            return write(f)
     if mode is not None and not os.access(real, os.W_OK):  # refused as open(path, "w") would
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
     folder, name = os.path.split(real)
@@ -796,7 +799,7 @@ def _write_json(obj, path) -> None:
         with open(fd, "w", encoding="utf-8", newline="\n") as f:
             if mode is not None:
                 os.chmod(fd, stat.S_IMODE(mode))
-            _encode(obj, f, path)
+            write(f)
         os.replace(tmp, real)
     except BaseException:
         with contextlib.suppress(OSError):

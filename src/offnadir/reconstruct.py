@@ -17,17 +17,19 @@ The OBJ bytes depend on two choices, made alike on every code path:
   there is none does it clip the first position whose cross product is 0.
 
 Larger rings find their split pair with a numpy pass over row blocks, in
-bounded memory.
+bounded memory. A ring that Douglas-Peucker keeps whole is the input ring
+rotated, so it is not checked again if its area still reads positive.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress
 
-from .dataset import Dataset
-from .geometry import Polygon2D, _finite, translate_polygon
+from .dataset import Dataset, _replace_file
+from .geometry import Polygon2D, _finite, _signed_area, translate_polygon
 
 DEFAULT_EPSILON_PX = 1.0
 
@@ -41,8 +43,15 @@ class Mesh3D:
 
     def __post_init__(self):
         n = len(self.vertices)
+        for v in self.vertices:
+            try:
+                ok = len(v) == 3 and all(map(_finite, v))
+            except (TypeError, ValueError):  # not a sequence, or not numbers
+                ok = False
+            if not ok:
+                raise ValueError(f"vertex must be 3 finite numbers, got {v!r}")
         for tri in self.triangles:
-            if len(tri) != 3:
+            if not (hasattr(tri, "__len__") and len(tri) == 3):
                 raise ValueError(f"triangle must have 3 indices, got {tri}")
             for idx in tri:
                 if type(idx) is not int:  # bool and numpy integers too
@@ -74,10 +83,15 @@ def simplify_chain(points, epsilon: float):
     if len(pts) < 2:
         raise ValueError("chain needs at least 2 points")
     _check_epsilon(epsilon)
-    eps_sq = epsilon * epsilon
     keep = [False] * len(pts)
     keep[0] = keep[-1] = True
-    stack = [(0, len(pts) - 1)]
+    _keep_farthest(pts, keep, [(0, len(pts) - 1)], epsilon * epsilon)
+    return list(compress(pts, keep))
+
+
+def _keep_farthest(pts, keep, stack, eps_sq) -> None:
+    """Douglas-Peucker on the spans (a, b) on stack: keep each span's first
+    point farthest from its chord if farther than sqrt(eps_sq), and split there."""
     try:
         while stack:
             a, b = stack.pop()
@@ -107,7 +121,6 @@ def simplify_chain(points, epsilon: float):
                 stack.append((idx, b))
     except OverflowError:  # `** 2` of a finite float
         raise ValueError("chain coordinates too large: a squared distance overflowed") from None
-    return [p for p, k in zip(pts, keep) if k]
 
 
 def simplify_dp(p: Polygon2D, epsilon: float) -> Polygon2D:
@@ -118,20 +131,27 @@ def simplify_dp(p: Polygon2D, epsilon: float) -> Polygon2D:
     the result would collapse below 3 vertices or degenerate.
     """
     _check_epsilon(epsilon)
-    verts = list(p.vertices)
+    verts, n = p.vertices, len(p.vertices)
     i, j = _farthest_pair(verts)
-    chain_a = verts[i : j + 1]
-    chain_b = verts[j:] + verts[: i + 1]
-    simple_a = simplify_chain(chain_a, epsilon)
-    simple_b = simplify_chain(chain_b, epsilon)
-    ring = simple_a[:-1] + simple_b[:-1]
+    # the closed ring from vertex i: its chains i..j and j..i are the spans
+    # (0, j - i) and (j - i, n), and the last point, vertex i again, is dropped
+    pts = verts[i:] + verts[: i + 1]
+    keep = [False] * n
+    keep[0] = keep[j - i] = True
+    _keep_farthest(pts, keep, [(0, j - i), (j - i, n)], epsilon * epsilon)
+    ring = tuple(compress(pts, keep))
+    # Kept whole, the ring is p's rotated: the same vertices, and the same edges,
+    # which both simplicity routes test in pairs symmetrically. Only the area,
+    # summed about another first vertex, can differ; else the constructor checks.
+    if len(ring) == n and _signed_area(ring) > 0.0:
+        return Polygon2D._trusted(ring)
     if len(ring) < 3:
         raise ValueError(
             f"simplification with epsilon={epsilon} would collapse the polygon "
             f"to {len(ring)} vertices"
         )
     try:
-        return Polygon2D(tuple(ring))
+        return Polygon2D(ring)
     except ValueError as e:
         raise ValueError(f"simplification degenerated the polygon: {e}") from e
 
@@ -234,6 +254,13 @@ def _ear_clip(verts):
     return tris
 
 
+@functools.lru_cache(maxsize=None)  # bounded: extrude_prism calls it for n <= 64 only
+def _side_triangles(n: int) -> tuple:
+    """The 2n side triangles of an n-gon prism, outward for a positive-shoelace ring."""
+    return tuple(t for i, i2 in zip(range(n), [*range(1, n), 0])
+                 for t in ((i, i2, n + i2), (i, n + i2, n + i)))
+
+
 def extrude_prism(footprint: Polygon2D, h: float, scale_s: float) -> Mesh3D:
     """Extrude a footprint into a watertight prism.
 
@@ -250,21 +277,13 @@ def extrude_prism(footprint: Polygon2D, h: float, scale_s: float) -> Mesh3D:
         raise ValueError(f"footprint coordinates overflow when divided by scale_s={scale_s!r}")
     n = len(ring)
     cap = _ear_clip(ring)
-    vertices = [(x, y, 0.0) for x, y in ring] + [(x, y, float(h)) for x, y in ring]
-    triangles = []
-    # bottom cap faces -z: reverse the ring winding
-    for i, j, k in cap:
-        triangles.append((i, k, j))
-    # top cap faces +z
-    for i, j, k in cap:
-        triangles.append((n + i, n + j, n + k))
-    # side quads, outward for a positive-shoelace ring
-    for i in range(n):
-        i2 = (i + 1) % n
-        triangles.append((i, i2, n + i2))
-        triangles.append((i, n + i2, n + i))
+    h = float(h)
+    vertices = tuple([(x, y, 0.0) for x, y in ring] + [(x, y, h) for x, y in ring])
+    # the bottom cap faces -z (the ring winding reversed), the top cap +z
+    triangles = tuple([(i, k, j) for i, j, k in cap] + [(n + i, n + j, n + k) for i, j, k in cap])
+    triangles += _side_triangles(n) if n <= 64 else _side_triangles.__wrapped__(n)
     # trusted: every triangle is 3 ints from range(n) or n + range(n), and there are 2n vertices
-    return Mesh3D._trusted(tuple(vertices), tuple(triangles))
+    return Mesh3D._trusted(vertices, triangles)
 
 
 def mesh_volume(m: Mesh3D) -> float:
@@ -309,20 +328,17 @@ def export_obj(meshes, path) -> None:
     meshes = list(meshes)
     total_v = sum(len(m.vertices) for _, m in meshes)
     total_f = sum(len(m.triangles) for _, m in meshes)
-    lines = [f"# prism models: {len(meshes)} objects, {total_v} vertices, {total_f} faces"]
-    base = 0
+    parts = [f"# prism models: {len(meshes)} objects, {total_v} vertices, {total_f} faces\n"]
+    base = 1
     for name, mesh in meshes:
         if not (name.isascii() and name.isprintable()):
             raise ValueError(f"object name {name!r} is not printable ASCII")
-        lines.append(f"o {name}")
-        for x, y, z in mesh.vertices:
-            lines.append(f"v {x:.6f} {y:.6f} {z:.6f}")
-        for i, j, k in mesh.triangles:
-            lines.append(f"f {base + i + 1} {base + j + 1} {base + k + 1}")
-        base += len(mesh.vertices)
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
+        vs, ts = mesh.vertices, mesh.triangles
+        parts.append(f"o {name}\n")
+        parts.append("v %.6f %.6f %.6f\n" * len(vs) % tuple(chain.from_iterable(vs)))
+        parts.append("f %d %d %d\n" * len(ts) % tuple([base + i for t in ts for i in t]))
+        base += len(vs)
+    _replace_file(path, lambda f: f.write("".join(parts)))
 
 
 def parse_obj(path):
