@@ -329,7 +329,7 @@ def export_obj(meshes, path) -> None:
     total_v = sum(len(m.vertices) for _, m in meshes)
     total_f = sum(len(m.triangles) for _, m in meshes)
     parts = [f"# prism models: {len(meshes)} objects, {total_v} vertices, {total_f} faces\n"]
-    base = 1
+    base = 1  # global, 1-based indices
     for name, mesh in meshes:
         if not (name.isascii() and name.isprintable()):
             raise ValueError(f"object name {name!r} is not printable ASCII")
