@@ -21,10 +21,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def _finite(x) -> bool:
-    """math.isfinite, but False for an int too large for a float."""
+    """math.isfinite, but False for an int too large for a float and for a
+    value that is not a real number."""
     try:
         return math.isfinite(x)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 
@@ -273,13 +274,18 @@ _BROADCAST_MIN_VERTICES = 16
 # Bounds of one kernel pass, each also a bound on its memory. A pass builds
 # the bbox-overlap mask of at most _BATCH_PAIRS edge pairs over at most
 # _BATCH_EDGES edges (blocks of rows for a single larger ring), then runs the
-# float tests on at most _BATCH_CANDIDATES of the pairs it keeps. Measured on
-# the seed-1 benchmark ground truths (same VM): 2**16 pairs check the
-# 64-vertex `stars` rings 16 to a pass with a 0.56 MB tracemalloc peak;
-# 2**17 was faster still, but doubled that peak. Capping edges at 2**11
-# keeps 4-6-vertex rings (`city`, `tiles`) at a 0.53 MB peak; 2**10 gave
-# 0.30 MB but was 13% slower.
-_BATCH_PAIRS = 2**16
+# float tests on at most _BATCH_CANDIDATES of the pairs it keeps. Sized by
+# dataset_from_json on the seed-1 benchmark gt and pred (medians of 31
+# in-process runs, same VM): 2**17 pairs check the 64-vertex `stars` rings
+# 32 to a call in 2.31 / 2.18 ms with a 1.08 MB tracemalloc peak per call,
+# against 2.58 / 2.45 ms and 0.55 MB at 2**16; 2**18 with 2**12 edges (64
+# rings a call) was slower again, 2.45 / 2.36 ms at 1.87 MB. Capping edges
+# at 2**11 keeps 4-6-vertex rings (`city`, `tiles`; the pair bound does not
+# bind there) at a 0.46 MB peak: gt / pred in 3.71 / 3.83 ms on `city` and
+# 5.94 / 6.22 ms on `tiles`. 2**12 read 2-3% faster on them in-process
+# (0.78 MB) but did not pay end to end, and 2**10 gave 0.30 MB but was 13%
+# slower.
+_BATCH_PAIRS = 2**17
 _BATCH_EDGES = 2**11
 # A zigzag ring can make every pair a candidate: at 2**12 per pass, a
 # 2000-vertex one takes 0.8 s with a 2.2 MB tracemalloc peak.

@@ -143,10 +143,23 @@ def round_half_away(x: float) -> int:
 # many polygons stream through: the edges of the polygons read ahead at
 # once, and the window pixels and edge terms (row crossings and boundary
 # candidates) of one numpy pass over some of them. A polygon over a pass
-# bound gets a pass of its own.
-_CHUNK_EDGES = 2**9
-_CHUNK_PIXELS = 2**15
-_CHUNK_TERMS = 2**12
+# bound gets a pass of its own. Sized by time on the seed-1 benchmark
+# inputs: every footprint of pred and gt, in eval's order (medians of 41
+# in-process runs; 2-vCPU x86-64 VM, numpy 2.4, CPython 3.11). Per pass,
+# numpy's fixed cost dominates until a pass holds many polygons:
+#   edges/pixels/terms   stars   city    tiles   (ms; max pass peak)
+#   2**9/2**15/2**12     6.59    6.90    4.22    (0.34 / 0.43 / 0.15 MB)
+#   2**11/2**17/2**14    4.40    4.70    3.00
+#   2**12/2**17/2**14    4.29    4.50    2.77    (1.27 / 1.66 / 1.10 MB)
+#   2**12/2**16/2**14    4.22    4.93    2.80
+#   2**12/2**17/2**13    4.61    4.51    2.85
+#   2**12/2**17/2**15    5.22    4.49    2.74    (2.48 MB on stars)
+# Larger passes than these are slower again (2**13/2**19/2**16: 4.35,
+# 4.55, 2.93 ms with up to 6.5 MB per pass); the benchmark worker's peak
+# RSS did not move.
+_CHUNK_EDGES = 2**12
+_CHUNK_PIXELS = 2**17
+_CHUNK_TERMS = 2**14
 # window arithmetic is int64, so grid sizes are capped here: no pixel at or
 # beyond 2**62 is ever set (centers that far out are not exact floats anyway)
 _MAX_GRID = 2**62

@@ -24,6 +24,7 @@ from offnadir.geometry import (
     polygon_area,
     translate_polygon,
 )
+from offnadir.reconstruct import extrude_prism
 
 
 def test_offset_zero_tangent_forces_zero_offset():
@@ -638,6 +639,22 @@ HUGE = 10**400  # an int too large for a float: math.isfinite raises on it
 ], ids=["vec2", "image-pose", "bbox-max", "bbox-min", "polygon", "offset-from-pose-height",
         "estimate-pose-height", "estimate-pose-scale"])
 def test_an_int_too_large_for_a_float_is_a_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+TRIANGLE = Polygon2D(((0, 0), (1, 0), (1, 1)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: extrude_prism(TRIANGLE, None, 1.0), r"^height must be > 0, got None$"),
+    (lambda: offset_from_pose(None, ImagePose(0.5, 0.0, 1.0)),
+     r"^height must be finite and >= 0, got None$"),
+    (lambda: Vec2("3", 4), r"^Vec2 components must be finite numbers, got \('3', 4\)$"),
+    (lambda: BBox(0, 0, "1", 1), r"^BBox\.x_max must be finite$"),
+    (lambda: ImagePose("1", 0, 1), r"^ImagePose\.tan_theta must be finite$"),
+], ids=["extrude-prism-height", "offset-from-pose-height", "vec2", "bbox", "image-pose"])
+def test_a_value_that_is_not_a_real_number_is_a_value_error(build, message):
     with pytest.raises(ValueError, match=message):
         build()
 

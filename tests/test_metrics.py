@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offnadir.dataset import BuildingInstance, Dataset, SampleRecord
+from offnadir import dataset, geometry, raster
+from offnadir.dataset import BuildingInstance, Dataset, SampleRecord, dataset_from_json
 from offnadir.geometry import ImagePose, Polygon2D, Vec2, translate_polygon
 from offnadir.metrics import (
     angle_errors,
@@ -483,3 +484,69 @@ def test_evaluate_matches_a_brute_force_oracle(case):
                 assert have[key] == pytest.approx(value, abs=1e-12), key
             else:
                 assert have[key] == value, key
+
+
+def _ring(n, cx, cy, radii):
+    """n-vertex ring around (cx, cy), its radii cycling through radii."""
+    return [c for k in range(n)
+            for c in (cx + radii[k % len(radii)] * math.cos(2 * math.pi * k / n),
+                      cy + radii[k % len(radii)] * math.sin(2 * math.pi * k / n))]
+
+
+def _comb(teeth, h):
+    """Comb of teeth 2 px wide and h px high on a 4 px bar: its edge terms
+    (row crossings and boundary candidates) are about as many as its window
+    pixels, so the edge-term bound of a raster pass binds first."""
+    pts = []
+    for t in range(teeth):
+        pts += [(4 * t, 0), (4 * t + 2, 0)]
+        if t < teeth - 1:
+            pts += [(4 * t + 2, h), (4 * t + 4, h)]
+    return [c for p in pts + [(4 * teeth - 2, h + 4), (0, h + 4)] for c in p]
+
+
+def test_eval_passes_hold_their_bounds(monkeypatch):
+    # A mixed stream on eval's path: a load, then the raster passes of
+    # evaluate. Every raster pass and every simplicity kernel call stays
+    # within its bounds unless it holds a single polygon or ring; the 400-
+    # vertex ring and the 600 x 600 square are each over a bound, and runs
+    # of combs fill passes by their edge terms.
+    passes, calls = [], []
+    rasterize, first_violation = raster._pass, geometry._first_violation
+
+    def spy_pass(x1, y1, x2, y2, poly, r0, r1, rb, c0, c1, boxed, i0, j0, nc, offset, total):
+        terms = (r1 - r0) + np.where(boxed, (rb - r0) + (c1 - c0), 0)
+        passes.append((i0.size, total, int(terms.sum())))
+        return rasterize(x1, y1, x2, y2, poly, r0, r1, rb, c0, c1, boxed, i0, j0, nc, offset, total)
+
+    def spy_kernel(p):
+        calls.append(p.shape)
+        return first_violation(p)
+
+    monkeypatch.setattr(raster, "_pass", spy_pass)
+    monkeypatch.setattr(geometry, "_first_violation", spy_kernel)
+    monkeypatch.setattr(dataset, "_first_violation", spy_kernel)
+    shapes = [
+        _ring(4, 40, 40, [20]), _ring(6, 40, 40, [30, 15]), _ring(64, 80, 80, [60, 30]),
+        _ring(400, 300, 300, [200]), [100, 100, 700, 100, 700, 700, 100, 700], _comb(8, 60),
+    ]
+    images = [{"id": f"img-{i}", "width": 1024, "height": 1024,
+               "instances": [{"footprint": [c + 8 * (k % 5) for c in shapes[(i + k // 20) % 6]]}
+                             for k in range(40)]} for i in range(8)]
+    d = dataset_from_json({"images": images})
+    # the ring-by-ring route's kernel calls, with more small rings than one
+    # call may take
+    rings = [inst.footprint.vertices for r in d.records for inst in r.instances]
+    geometry._first_non_simple(rings + rings[:20] * 40)
+    evaluate(d, d)
+    assert passes and calls
+    for polygons, pixels, terms in passes:
+        assert polygons == 1 or (pixels <= raster._CHUNK_PIXELS and terms <= raster._CHUNK_TERMS)
+    for m, n, _ in calls:
+        assert m == 1 or (m * n * n <= geometry._BATCH_PAIRS and m * n <= geometry._BATCH_EDGES)
+    # both kinds of pass occur: shared ones, and one over a bound
+    assert max(polygons for polygons, _, _ in passes) > 1
+    assert max(terms for polygons, _, terms in passes if polygons > 1) > raster._CHUNK_TERMS // 2
+    assert max(pixels for _, pixels, _ in passes) > raster._CHUNK_PIXELS
+    assert max(m for m, _, _ in calls) > 1
+    assert max(n * n for _, n, _ in calls) > geometry._BATCH_PAIRS
