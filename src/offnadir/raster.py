@@ -155,8 +155,8 @@ def round_half_away(x: float) -> int:
 #   2**12/2**17/2**13    4.61    4.51    2.85
 #   2**12/2**17/2**15    5.22    4.49    2.74    (2.48 MB on stars)
 # Larger passes than these are slower again (2**13/2**19/2**16: 4.35,
-# 4.55, 2.93 ms with up to 6.5 MB per pass); the benchmark worker's peak
-# RSS did not move.
+# 4.55, 2.93 ms with up to 6.5 MB per pass). The benchmark's peak_rss_mb
+# did not move, though `eval` on `city` peaks 1.4 MB higher in RSS.
 _CHUNK_EDGES = 2**12
 _CHUNK_PIXELS = 2**17
 _CHUNK_TERMS = 2**14
