@@ -307,72 +307,62 @@ def _add_jobs(sp) -> None:
                     help="accepted for compatibility; the work runs serially")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="offnadir", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def new_command(name, help_text):
-        sp = sub.add_parser(name, help=help_text, description=help_text)
-        sp.add_argument("--version", action="version", version=f"offnadir {__version__}")
-        return sp
-
-    sp = new_command("synth", "generate a seeded synthetic dataset")
+def _synth_arguments(sp) -> None:
     sp.add_argument("--config", required=True, help="SynthConfig JSON file")
     sp.add_argument("--out", required=True, help="output dataset JSON")
     sp.add_argument("--seed", type=int, default=None, help="override the config seed")
     _add_jobs(sp)
-    sp.set_defaults(func=_cmd_synth)
 
-    sp = new_command("grade", "report per-image supervision levels")
+
+def _grade_arguments(sp) -> None:
     sp.add_argument("--in", dest="input", required=True, help="dataset JSON")
     sp.add_argument("--report", default=None, help="optional report JSON path")
-    sp.set_defaults(func=_cmd_grade)
 
-    sp = new_command("validate", "check offset/height/pose consistency")
+
+def _validate_arguments(sp) -> None:
     sp.add_argument("--in", dest="input", required=True, help="dataset JSON")
     sp.add_argument("--tol", type=float, default=1e-6, help="tolerance in pixels")
     sp.add_argument("--report", default=None, help="optional report JSON path")
-    sp.set_defaults(func=_cmd_validate)
 
-    sp = new_command("degrade", "strip annotations into mixed supervision levels")
+
+def _degrade_arguments(sp) -> None:
     sp.add_argument("--in", dest="input", required=True, help="fully annotated dataset JSON")
     sp.add_argument("--out", required=True, help="output dataset JSON")
     sp.add_argument("--frac-oh", type=float, required=True, help="fraction kept fully annotated")
     sp.add_argument("--frac-h", type=float, required=True, help="fraction reduced to height-only")
     sp.add_argument("--seed", type=int, default=0, help="assignment seed")
-    sp.set_defaults(func=_cmd_degrade)
 
-    sp = new_command("pbc", "compute pseudo building bboxes")
+
+def _pbc_arguments(sp) -> None:
     sp.add_argument("--in", dest="input", required=True, help="dataset JSON")
     sp.add_argument("--out", required=True, help="output boxes JSON")
     sp.add_argument("--level", choices=("h", "n"), default="h",
                     help="h: footprint+height+pose; n: footprint enlargement")
     sp.add_argument("--expand-ratio", type=float, default=DEFAULT_EXPAND_RATIO,
                     help="per-side enlargement ratio for level n")
-    sp.set_defaults(func=_cmd_pbc)
 
-    sp = new_command("footprint", "derive footprints from roofs and offsets")
+
+def _footprint_arguments(sp) -> None:
     sp.add_argument("--in", dest="input", required=True, help="dataset JSON")
     sp.add_argument("--out", required=True, help="output path")
     sp.add_argument("--mode", choices=("polygon", "raster"), default="polygon")
-    sp.set_defaults(func=_cmd_footprint)
 
-    sp = new_command("eval", "evaluate predictions against ground truth")
+
+def _eval_arguments(sp) -> None:
     sp.add_argument("--pred", required=True, help="prediction dataset JSON")
     sp.add_argument("--gt", required=True, help="ground-truth dataset JSON")
     sp.add_argument("--iou", type=float, default=0.5, help="matching IoU threshold")
     sp.add_argument("--report", default=None, help="optional report JSON path")
     _add_jobs(sp)
-    sp.set_defaults(func=_cmd_eval)
 
-    sp = new_command("loss", "compute level and hybrid losses from components")
+
+def _loss_arguments(sp) -> None:
     sp.add_argument("--components", required=True, help="JSON array of graded samples")
     sp.add_argument("--weights", default=None, help="optional weights JSON (defaults embedded)")
     sp.add_argument("--report", default=None, help="optional report JSON path")
-    sp.set_defaults(func=_cmd_loss)
 
-    sp = new_command("reconstruct", "export prism models as OBJ")
+
+def _reconstruct_arguments(sp) -> None:
     sp.add_argument("--in", dest="input", required=True, help="dataset JSON")
     sp.add_argument("--out", required=True, help="output OBJ path")
     sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON_PX,
@@ -382,16 +372,55 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scale", type=float, default=None,
                     help="pixels-per-meter fallback when a record has no pose")
     _add_jobs(sp)
-    sp.set_defaults(func=_cmd_reconstruct)
 
+
+# every subcommand, in the order --help lists them: name -> (help text,
+# argument adder, handler)
+_COMMANDS = {
+    "synth": ("generate a seeded synthetic dataset", _synth_arguments, _cmd_synth),
+    "grade": ("report per-image supervision levels", _grade_arguments, _cmd_grade),
+    "validate": ("check offset/height/pose consistency", _validate_arguments, _cmd_validate),
+    "degrade": ("strip annotations into mixed supervision levels", _degrade_arguments,
+                _cmd_degrade),
+    "pbc": ("compute pseudo building bboxes", _pbc_arguments, _cmd_pbc),
+    "footprint": ("derive footprints from roofs and offsets", _footprint_arguments,
+                  _cmd_footprint),
+    "eval": ("evaluate predictions against ground truth", _eval_arguments, _cmd_eval),
+    "loss": ("compute level and hybrid losses from components", _loss_arguments, _cmd_loss),
+    "reconstruct": ("export prism models as OBJ", _reconstruct_arguments, _cmd_reconstruct),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser with every subcommand, or with the named one only."""
+    parser = _Parser(prog="offnadir", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_arguments, func = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text, description=help_text)
+        sp.add_argument("--version", action="version", version=f"offnadir {__version__}")
+        add_arguments(sp)
+        sp.set_defaults(func=func)
     return parser
 
 
 def run(argv=None) -> int:
-    """Dispatch a CLI invocation; returns the process exit code."""
-    parser = build_parser()
+    """Dispatch a CLI invocation; returns the process exit code.
+
+    Only the parser of the command argv starts with is built. Any other
+    argv, and every usage error, goes through the full tree, whose help
+    and usage lines list every command.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = build_parser(command).parse_args(argv)
+        except UsageError:
+            if command is None:
+                raise
+            args = build_parser().parse_args(argv)  # raises the full tree's message
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE

@@ -747,7 +747,7 @@ def _encode(obj, f, path) -> None:
                       if isinstance(o, SampleRecord) else json.JSONEncoder().default(o))
         else:
             _dump(obj, f)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # a value JSON cannot hold, or one nested too deep
         raise DatasetError(f"cannot write {path}: {e}") from e
     f.write("\n")
 
@@ -756,10 +756,11 @@ def _write_json(obj, path) -> None:
     """Write obj as json.dumps(obj, indent=2) plus "\\n", byte for byte:
     ASCII-escaped strict JSON with LF line ends; the path "-" means stdout.
 
-    A non-finite float (or an int too long for str) is a DatasetError that
-    names the path. Without the _json accelerator, json.dump writes it. A
-    SampleRecord in obj is written as _record_to_json gives it, straight
-    from its fields when the writer reaches it.
+    A non-finite float, an int too long for str or a value nested deeper
+    than the recursion limit allows is a DatasetError that names the path.
+    Without the _json accelerator, json.dump writes it. A SampleRecord in
+    obj is written as _record_to_json gives it, straight from its fields
+    when the writer reaches it.
     """
     if path == "-":
         return _encode(obj, sys.stdout, path)

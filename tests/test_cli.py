@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from offnadir.cli import run
+from offnadir.cli import UsageError, build_parser, run
 from offnadir.dataset import load_dataset, save_dataset, validate_consistency
 from offnadir.geometry import Polygon2D
 from offnadir.losses import smooth_l1
@@ -685,3 +686,128 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys, argv, code):
         assert out.startswith("offnadir ")
     else:
         assert "the following arguments are required: --config, --out" in err
+
+
+def test_an_output_nested_too_deep_to_write_is_a_data_error(tmp_path, scene_path, capsys):
+    # deep enough that the writer, two frames per nested dict, runs out; not the loader
+    deep = 0
+    for _ in range(sys.getrecursionlimit() * 3 // 5):
+        deep = {"k": deep}
+    doc = json.loads(scene_path.read_text())
+    doc["images"][0]["instances"][0]["deep"] = deep
+    scene = tmp_path / "deep.json"
+    scene.write_text(json.dumps(doc))
+    out = tmp_path / "footprints.json"
+    out.write_text("old\n")
+    assert run(["footprint", "--in", str(scene), "--out", str(out), "--mode", "polygon"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: maximum recursion depth exceeded")
+    assert out.read_text() == "old\n"
+
+
+# run() builds only the parser of the command it is given; each argv must
+# print, write and exit as a parse through the full build_parser() tree does
+VALID_ARGVS = {
+    "synth": ["synth", "--config", "{cfg}", "--out", "{out}", "--seed", "3", "--jobs", "2"],
+    "grade": ["grade", "--in", "{scene}", "--report", "-"],
+    "validate": ["validate", "--in", "{scene}", "--tol", "0.5"],
+    "degrade": ["degrade", "--in", "{scene}", "--out", "{out}", "--frac-oh", "0.4",
+                "--frac-h", "0.3"],
+    "pbc": ["pbc", "--in", "{scene}", "--out", "{out}", "--level", "n", "--expand-ratio", "0.2"],
+    "footprint": ["footprint", "--in", "{scene}", "--out", "{out}", "--mode", "raster"],
+    "eval": ["eval", "--pred", "{scene}", "--gt", "{scene}", "--report", "-"],
+    "loss": ["loss", "--components", "{components}"],
+    "reconstruct": ["reconstruct", "--in", "{scene}", "--out", "{out}", "--epsilon", "0.5"],
+}
+PARITY_ARGVS = {
+    **VALID_ARGVS,
+    **{f"{name}-help": [name, "--help"] for name in VALID_ARGVS},
+    "help": ["--help"],
+    "help-short": ["-h"],
+    "empty": [],
+    "version": ["--version"],
+    "version-before-command": ["--version", "pbc"],
+    "version-after-command": ["pbc", "--version"],
+    "missing-required": ["pbc", "--in", "{scene}"],
+    "bad-level": ["pbc", "--in", "{scene}", "--out", "{out}", "--level", "q"],
+    "bad-mode": ["footprint", "--in", "{scene}", "--out", "{out}", "--mode", "x"],
+    "bad-seed": ["synth", "--config", "{cfg}", "--out", "{out}", "--seed", "x"],
+    "unrecognized": ["pbc", "--in", "{scene}", "--out", "{out}", "extra", "--more"],
+    "unknown-command": ["frobnicate", "--in", "{scene}"],
+    "option-before-command": ["--in", "{scene}", "pbc"],
+}
+
+
+def _full_tree(argv) -> int:
+    """run(argv) with argv parsed through the full build_parser() tree."""
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as e:
+        print(str(e), file=sys.stderr)
+        return 1
+    except SystemExit as e:
+        return int(e.code or 0)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("call", ["list", "tuple", "sys.argv"])
+@pytest.mark.parametrize("name", sorted(PARITY_ARGVS))
+def test_run_prints_and_exits_as_the_full_parser_does(tmp_path, scene_path, cfg_path,
+                                                      monkeypatch, capsys, name, call):
+    monkeypatch.setenv("COLUMNS", "80")  # the width help and usage lines wrap to
+    components = tmp_path / "components.json"
+    components.write_text(json.dumps(GOOD_COMPONENTS))
+    argv = [a.format(scene=scene_path, cfg=cfg_path, components=components,
+                     out=tmp_path / "out") for a in PARITY_ARGVS[name]]
+    expected = _full_tree(argv), *capsys.readouterr()
+    written = (tmp_path / "out").read_bytes() if (tmp_path / "out").exists() else None
+    (tmp_path / "out").unlink(missing_ok=True)
+    if call == "sys.argv":
+        monkeypatch.setattr(sys, "argv", ["offnadir", *argv])
+        code = run()
+    else:
+        code = run(tuple(argv) if call == "tuple" else argv)
+    assert (code, *capsys.readouterr()) == expected
+    assert ((tmp_path / "out").read_bytes() if (tmp_path / "out").exists() else None) == written
+    assert expected[0] == (0 if name in VALID_ARGVS or "help" in name or "version" in name
+                           else 1)
+    if name in VALID_ARGVS:
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+@pytest.fixture
+def trees(monkeypatch):
+    """The number of subparsers in each parser tree built, in build order."""
+    built = {}
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, *args, **kwargs):
+        built[self] = built.get(self, 0) + 1
+        return add_parser(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return lambda: list(built.values())
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["grade", "--in", "{scene}"], [1]),
+    (["pbc", "--help"], [1]),  # a command's help text comes from its own parser alone
+    (["pbc", "--version"], [1]),
+    (["--help"], [9]),
+    (["--version"], [9]),
+    ([], [9]),
+    (["frobnicate"], [9]),
+    (["pbc", "--in", "{scene}"], [1, 9]),  # the usage error, as the full tree prints it
+    (["pbc", "--in", "{scene}", "--out", "{scene}", "extra"], [1, 9]),
+], ids=["valid", "command-help", "command-version", "help", "version", "empty", "unknown",
+        "missing-required", "unrecognized"])
+def test_run_builds_one_subparser_unless_it_needs_the_full_tree(scene_path, trees, argv, built):
+    run([a.format(scene=scene_path) for a in argv])
+    assert trees() == built
+
+
+def test_build_parser_builds_every_subcommand(trees):
+    parser = build_parser()
+    assert trees() == [9]
+    assert "{synth,grade,validate,degrade,pbc,footprint,eval,loss,reconstruct}" in (
+        parser.format_usage())

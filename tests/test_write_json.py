@@ -12,6 +12,7 @@ import math
 import os
 import re
 import stat
+import sys
 import threading
 from collections import OrderedDict
 from unittest import mock
@@ -21,7 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offnadir import dataset
-from offnadir.dataset import DatasetError, _write_json
+from offnadir.dataset import (
+    BuildingInstance, Dataset, DatasetError, SampleRecord, _write_json, save_dataset,
+)
+from offnadir.geometry import Polygon2D
 
 PATHS = ("c", "fallback")
 
@@ -134,6 +138,26 @@ def test_a_failed_write_keeps_the_old_output_and_leaves_no_temporary_file(tmp_pa
     path.write_text("old\n")
     with _encoders(path_kind), pytest.raises(DatasetError, match="Out of range float"):
         _write_json({"a": list(range(5000)) + [math.inf]}, path)
+    assert path.read_text() == "old\n"
+    assert _leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("path_kind", PATHS)
+@pytest.mark.parametrize("where", ["dataset", "record", "instance"])
+def test_a_value_nested_past_the_recursion_limit_is_a_dataset_error(tmp_path, path_kind, where):
+    deep = 0
+    for _ in range(sys.getrecursionlimit()):
+        deep = [deep]
+    square = Polygon2D(((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)))
+    inst = BuildingInstance(footprint=square, extra={"deep": deep} if where == "instance" else {})
+    record = SampleRecord("a", 8, 8, instances=(inst,),
+                          extra={"deep": deep} if where == "record" else {})
+    d = Dataset(records=(record,), extra={"deep": deep} if where == "dataset" else {})
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    message = re.escape(f"cannot write {path}: maximum recursion depth exceeded")
+    with _encoders(path_kind), pytest.raises(DatasetError, match=message):
+        save_dataset(d, path)
     assert path.read_text() == "old\n"
     assert _leftovers(tmp_path) == []
 
