@@ -260,7 +260,8 @@ def _parse(where: str, parse, value):
 
 
 class _PendingRings:
-    """Rings whose simplicity check is deferred, in the order they were built.
+    """Rings whose simplicity check is deferred, in the order they were built:
+    the loader's, and the footprints `footprint --mode polygon` derives.
 
     They are checked together once they reach _BATCH_EDGES edges (one
     kernel chunk), so a non-simple ring raises before much after it is
@@ -278,7 +279,7 @@ class _PendingRings:
         if kind is None or issubclass(kind, Exception):
             self.check()
 
-    def polygon(self, verts: tuple, where) -> Polygon2D:
+    def polygon(self, verts: tuple, where: str) -> Polygon2D:
         """Polygon over canonical vertices, its simplicity check deferred."""
         self.rings.append(verts)
         self.wheres.append(where)
@@ -289,15 +290,13 @@ class _PendingRings:
 
     def check(self) -> None:
         """Raise the DatasetError "<where>: <message>" of the first non-simple
-        pending ring, or with where None, the ValueError Polygon2D raises."""
+        pending ring."""
         rings, wheres = self.rings, self.wheres
         self.rings, self.wheres, self.edges = [], [], 0
         found = _first_non_simple(rings)
         if found is not None:
             index, message = found
-            where = wheres[index]
-            raise (ValueError(message) if where is None
-                   else DatasetError(f"{where}: {message}")) from None
+            raise DatasetError(f"{wheres[index]}: {message}") from None
 
 
 def _flat_to_polygon(values, where: str, pending: _PendingRings) -> Polygon2D:

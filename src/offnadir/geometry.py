@@ -516,7 +516,7 @@ class Polygon2D:
 
     @classmethod
     def _trusted(cls, verts: tuple) -> "Polygon2D":
-        """Polygon over canonical vertices whose simplicity is checked elsewhere."""
+        """Polygon over canonical vertices whose simplicity is checked or proven elsewhere."""
         p = object.__new__(cls)
         object.__setattr__(p, "vertices", verts)
         return p

@@ -24,15 +24,14 @@ from .dataset import (
     SampleRecord,
     SupervisionLevel,
     _is_integer,
-    _PendingRings,
     grade_sample,
     strip_annotations,
 )
 from .geometry import (
     TWO_PI,
     ImagePose,
+    Polygon2D,
     Vec2,
-    _canonical_ring,
     height_from_offset,
     normalize_angle,
     offset_from_pose,
@@ -162,16 +161,29 @@ def _snap_direction(phi: float):
     return a, b
 
 
-def _footprint(box, notch, pending):
-    """Rectangle over box = (x0, y0, x1, y1); with notch = (nx, ny), an L
-    shape: its (x1, y1) corner notched out by nx x ny. Either spans box."""
-    x0, y0, x1, y1 = box
+def _footprint(box, notch) -> tuple:
+    """Float vertices, wound positively, of the rectangle over box = (x0, y0, x1, y1); with notch
+    = (nx, ny), of an L shape: its (x1, y1) corner notched out by nx x ny. Either spans box."""
+    x0, y0, x1, y1 = map(float, box)
     if notch is None:
-        ring = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+        return ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+    x2, y2 = float(box[2] - notch[0]), float(box[3] - notch[1])
+    return ((x0, y0), (x1, y0), (x1, y2), (x2, y2), (x2, y1), (x0, y1))
+
+
+def _polygon(ring) -> Polygon2D:
+    """Polygon2D(ring) for a ring of _footprint's or that minus one offset, trusted if proven. As
+    x - dx is monotone in x, edges stay axis-aligned bit for bit; strict orderings give distinct
+    vertices, simplicity and positive winding (each cross term of _signed_area about ring[0] is
+    >= 0 under monotone rounding, the first > 0), and |x|, |y| < 2**53 values within +-2**500."""
+    (x0, y0), (x1, _), (_, y2) = ring[0], ring[1], ring[2]
+    b = 2.0**53
+    if len(ring) == 4:
+        proven = -b < x0 < x1 < b and -b < y0 < y2 < b
     else:
-        nx, ny = notch
-        ring = ((x0, y0), (x1, y0), (x1, y1 - ny), (x1 - nx, y1 - ny), (x1 - nx, y1), (x0, y1))
-    return pending.polygon(_canonical_ring(ring), None)
+        x2, y1 = ring[3][0], ring[4][1]
+        proven = -b < x0 < x2 < x1 < b and -b < y0 < y2 < y1 < b
+    return Polygon2D._trusted(ring) if proven else Polygon2D(ring)
 
 
 def _separated(a, b) -> bool:
@@ -201,7 +213,7 @@ def _permutation(draw, n: int) -> list:
     return order
 
 
-def _build_record(cfg: SynthConfig, index: int, pending: _PendingRings) -> SampleRecord:
+def _build_record(cfg: SynthConfig, index: int) -> SampleRecord:
     # a distinct stream per (seed, index), since the seed is below 2**64
     draw = random.Random((index << 64) | cfg.seed).random
     tan_theta = _uniform(draw, *cfg.tan_theta_range)
@@ -263,11 +275,11 @@ def _build_record(cfg: SynthConfig, index: int, pending: _PendingRings) -> Sampl
             box = (x0, y0, x0 + w_px, y0 + h_px)
             if all(_separated(box, other) for other in placed):
                 placed.append(box)
-                footprint = _footprint(box, notch, pending)
+                footprint = _polygon(_footprint(box, notch))
                 # translate_polygon(footprint, -v): x - dx is x + (-dx) bit for bit
                 ring = tuple((x - v.dx, y - v.dy) for x, y in footprint.vertices)
-                roof = pending.polygon(_canonical_ring(ring), None)
-                # trusted: h is finite and >= 0, and unless _canonical_ring
+                roof = _polygon(ring)
+                # trusted: h is finite and >= 0, and unless Polygon2D
                 # reversed it, roof is footprint - v vertex by vertex, as
                 # __post_init__ recomputes it (deviation 0)
                 trusted = roof.vertices[0] == ring[0]
@@ -297,12 +309,11 @@ def generate_scenes(cfg: SynthConfig) -> Dataset:
     versions for an int seed (the random module's "Notes on
     Reproducibility"), so scenes do not depend on the numpy version. A
     float in [lo, hi] is ``lo + (hi - lo) * u``, an integer in [lo, hi] is
-    ``lo + min(n - 1, int(u * n))`` with ``n = hi - lo + 1``. Polygons get
-    Polygon2D's checks and errors, their simplicity checked in batches
-    (_PendingRings).
+    ``lo + min(n - 1, int(u * n))`` with ``n = hi - lo + 1``. A ring that
+    strict orderings of its coordinates prove simple is built trusted; any
+    other gets Polygon2D's checks and errors where it is built (_polygon).
     """
-    with _PendingRings() as pending:
-        records = [_build_record(cfg, i, pending) for i in range(cfg.n_images)]
+    records = [_build_record(cfg, i) for i in range(cfg.n_images)]
     cfg_json = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
     meta = {"generator": "offnadir.synth", "config": cfg_json}
     return Dataset(records=tuple(records), metadata=meta)

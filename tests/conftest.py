@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import shutil
+import tempfile
 
 import pytest
 
@@ -41,3 +45,19 @@ def float_scene_dataset():
         seed=424242,
     )
     return generate_scenes(cfg)
+
+
+@pytest.fixture(scope="module")
+def module_dir(tmp_path_factory, request):
+    """A directory for one module's tests, on tmpfs where /dev/shm is a
+    writable directory: overwriting a file there costs no disk I/O, so tests
+    that rewrite one file per example stay fast. Removed at teardown."""
+    shm = "/dev/shm"
+    if os.path.isdir(shm) and os.access(shm, os.W_OK | os.X_OK):
+        path = tempfile.mkdtemp(prefix="offnadir-tests-", dir=shm)
+    else:
+        path = tmp_path_factory.mktemp(request.module.__name__.rpartition(".")[2])
+    try:
+        yield pathlib.Path(path)
+    finally:
+        shutil.rmtree(path, ignore_errors=True)

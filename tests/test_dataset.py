@@ -285,19 +285,14 @@ def _api_datasets(draw):
     return Dataset(records, draw(_extras), draw(_extras))
 
 
-@pytest.fixture(scope="module")
-def save_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("save")
-
-
 @pytest.mark.parametrize("encoder", ["c", "fallback"])
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(d=_api_datasets())
-def test_save_dataset_writes_what_json_dumps_writes(save_dir, encoder, d):
+def test_save_dataset_writes_what_json_dumps_writes(module_dir, encoder, d):
     # the record writer formats each record from its fields, yet every
     # byte, int, float subclass and colliding extra key included, is
     # json.dumps's
-    path = save_dir / "d.json"
+    path = module_dir / "d.json"
     with (mock.patch.object(dataset_module, "c_make_encoder", None) if encoder == "fallback"
           else contextlib.nullcontext()):
         save_dataset(d, path)

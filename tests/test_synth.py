@@ -302,6 +302,15 @@ def test_synth_config_built_in_python_checks_field_types(key, value):
         SynthConfig(**{**SMALL, key: value})
 
 
+def _assert_checked_constructions(d):
+    for r in d.records:
+        for inst in r.instances:
+            assert inst.footprint == Polygon2D(inst.footprint.vertices)
+            assert inst.roof == translate_polygon(inst.footprint, -inst.offset)
+            # synth builds instances trusted; the checking constructor agrees
+            assert inst == BuildingInstance(inst.footprint, inst.roof, inst.offset, inst.height)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     size=st.integers(48, 128),
@@ -316,8 +325,8 @@ def test_synth_config_built_in_python_checks_field_types(key, value):
 def test_synth_polygons_equal_the_checked_constructions(
     size, counts, height, tan_theta, scale_s, shape_family, integer_offsets, seed
 ):
-    # synth builds its rings with the simplicity check deferred; each must be
-    # the polygon the checking constructors give
+    # synth builds its rings trusted where it proves them simple; each must
+    # be the polygon the checking constructors give
     cfg = SynthConfig(image_w=size, image_h=size + 7, n_images=3,
                       buildings_per_image=(counts[0], sum(counts)),
                       height_range=(height / 2, height), tan_theta_range=(0.0, tan_theta),
@@ -327,12 +336,70 @@ def test_synth_polygons_equal_the_checked_constructions(
         d = generate_scenes(cfg)
     except SynthesisError:
         return
-    for r in d.records:
-        for inst in r.instances:
-            assert inst.footprint == Polygon2D(inst.footprint.vertices)
-            assert inst.roof == translate_polygon(inst.footprint, -inst.offset)
-            # synth builds instances trusted; the checking constructor agrees
-            assert inst == BuildingInstance(inst.footprint, inst.roof, inst.offset, inst.height)
+    _assert_checked_constructions(d)
+
+
+@pytest.mark.parametrize("shape_family", synth.SHAPE_FAMILIES)
+def test_synth_rings_beyond_2_53_take_the_checked_constructor(monkeypatch, shape_family):
+    # the proof needs coordinates below 2**53, so in a 2**60 px frame every
+    # ring goes through Polygon2D's checks
+    checked = []
+    post_init = Polygon2D.__post_init__
+
+    def spy(self):
+        post_init(self)
+        checked.append(self.vertices)
+
+    monkeypatch.setattr(Polygon2D, "__post_init__", spy)
+    d = generate_scenes(SynthConfig(**{**SMALL, "image_w": 2**60, "image_h": 2**60,
+                                       "shape_family": shape_family}))
+    monkeypatch.undo()
+    rings = [p.vertices for r in d.records for inst in r.instances
+             for p in (inst.footprint, inst.roof)]
+    assert rings and checked == rings
+    _assert_checked_constructions(d)
+
+
+def _bits(vertices):
+    return [(x.hex(), y.hex()) for x, y in vertices]
+
+
+def _built(make, ring):
+    try:
+        return make(ring)
+    except ValueError as error:
+        return error
+
+
+# offsets that keep integer coordinates exact, and ones that make them round
+# or tie, or leave them not finite
+_OFFSETS = (st.sampled_from([0.0, -0.0]) | st.integers(-2**20, 2**20).map(float)
+            | st.floats(-64.0, 64.0) | st.floats(2.0**52, 2.0**54) | st.floats(-2.0**54, -2.0**52)
+            | st.floats())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    x0=st.integers(0, 2**54), y0=st.integers(0, 2**54),
+    w=st.integers(4, 64) | st.integers(4, 2**56), h=st.integers(4, 64) | st.integers(4, 2**56),
+    notch=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    dx=_OFFSETS, dy=_OFFSETS,
+)
+def test_proven_rings_are_the_checked_constructions(x0, y0, w, h, notch, dx, dy):
+    # a footprint, and that footprint minus an offset: the proof builds a ring
+    # trusted only where Polygon2D accepts it unchanged, and any other ring
+    # gets the polygon or the error that Polygon2D gives
+    if notch is not None:  # nx in [2, w - 2], ny in [2, h - 2]
+        notch = (2 + round(notch[0] * (w - 4)), 2 + round(notch[1] * (h - 4)))
+    footprint = synth._footprint((x0, y0, x0 + w, y0 + h), notch)
+    for ring in (footprint, tuple((x - dx, y - dy) for x, y in footprint)):
+        got, want = _built(synth._polygon, ring), _built(Polygon2D, ring)
+        if isinstance(want, ValueError):
+            assert type(got) is ValueError and str(got) == str(want)
+            continue
+        assert type(got) is Polygon2D and _bits(got.vertices) == _bits(want.vertices)
+        if got.vertices is ring:  # built trusted: the orderings and the bound held
+            assert max(abs(c) for vertex in ring for c in vertex) < 2.0**53
 
 
 # self-intersecting, with nonzero area, inside a 24 px frame
@@ -345,35 +412,36 @@ def test_non_simple_synth_ring_raises_polygon2d_error_first(monkeypatch, crowded
     with pytest.raises(ValueError) as expected:
         Polygon2D(BOWTIE_L)
     calls = []
-    original = synth._canonical_ring
+    original = synth._polygon
 
-    def canonical(vertices):
+    def polygon(vertices):
         calls.append(None)
         return original(BOWTIE_L if len(calls) == ring + 1 else vertices)
 
-    # crowded: a later building cannot be placed (SynthesisError); a bad
-    # roof also disagrees with its footprint (DatasetError); either comes
-    # after the ring, so the ring's error wins
+    # BOWTIE_L fails the proof, so Polygon2D checks it as it is built: before
+    # a later building fails to be placed (crowded: SynthesisError), and
+    # before a bad roof disagrees with its footprint (DatasetError)
     cfg = SynthConfig(**{**SMALL, "image_w": 24, "image_h": 24, "n_images": 2,
                          "buildings_per_image": (30, 30) if crowded else (1, 1)})
-    monkeypatch.setattr(synth, "_canonical_ring", canonical)
+    monkeypatch.setattr(synth, "_polygon", polygon)
     with pytest.raises(ValueError) as got:
         generate_scenes(cfg)
     assert type(got.value) is ValueError
     assert str(got.value) == str(expected.value) == "polygon is not simple (self-intersection)"
+    assert len(calls) == ring + 1
 
 
 def test_reversed_synth_roof_takes_the_checked_constructor(monkeypatch):
-    # were _canonical_ring to reverse a roof, synth would not trust it
-    original = synth._canonical_ring
+    # were a roof's polygon to come back reversed, synth would not trust it
+    original = synth._polygon
     calls = []
 
-    def canonical(vertices):
+    def polygon(vertices):
         calls.append(None)
-        ring = original(vertices)
-        return ring[::-1] if len(calls) == 2 else ring  # the first roof
+        p = original(vertices)
+        return Polygon2D._trusted(p.vertices[::-1]) if len(calls) == 2 else p  # the first roof
 
-    monkeypatch.setattr(synth, "_canonical_ring", canonical)
+    monkeypatch.setattr(synth, "_polygon", polygon)
     with pytest.raises(DatasetError, match=r"^roof deviates from footprint - offset by "):
         generate_scenes(SynthConfig(**SMALL))
 

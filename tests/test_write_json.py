@@ -84,16 +84,11 @@ values = st.recursive(
 )
 
 
-@pytest.fixture(scope="module")
-def tmp_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("write_json")
-
-
 @pytest.mark.parametrize("path_kind", PATHS)
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(obj=values)
-def test_writer_matches_json_dumps_indent_2(tmp_dir, path_kind, obj):
-    assert _written(obj, tmp_dir, path_kind) == _expected(obj)
+def test_writer_matches_json_dumps_indent_2(module_dir, path_kind, obj):
+    assert _written(obj, module_dir, path_kind) == _expected(obj)
 
 
 def _nested(depth: int):
