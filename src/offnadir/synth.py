@@ -175,7 +175,7 @@ def _polygon(ring) -> Polygon2D:
     """Polygon2D(ring) for a ring of _footprint's or that minus one offset, trusted if proven. As
     x - dx is monotone in x, edges stay axis-aligned bit for bit; strict orderings give distinct
     vertices, simplicity and positive winding (each cross term of _signed_area about ring[0] is
-    >= 0 under monotone rounding, the first > 0), and |x|, |y| < 2**53 values within +-2**500."""
+    >= 0 under monotone rounding, the first > 0); |x|, |y| < 2**53 keeps them within +-2**500."""
     (x0, y0), (x1, _), (_, y2) = ring[0], ring[1], ring[2]
     b = 2.0**53
     if len(ring) == 4:
