@@ -16,8 +16,8 @@ from .dataset import (
     Dataset,
     DatasetError,
     SupervisionLevel,
+    _check_rings,
     _number,
-    _PendingRings,
     _parse,
     _read_json,
     _write_json,
@@ -26,7 +26,7 @@ from .dataset import (
     save_dataset,
     validate_consistency,
 )
-from .geometry import _canonical_ring, offset_from_pose
+from .geometry import Polygon2D, _canonical_ring, offset_from_pose
 from .losses import (
     _COMPONENTS, ExternalLossInputs, LevelComponents, LossWeights, _total_loss, level_loss,
 )
@@ -145,27 +145,38 @@ def _cmd_pbc(args) -> int:
 
 def _cmd_footprint(args) -> int:
     if args.mode == "raster":
-        import numpy  # noqa: F401  (rasterizing needs it; loaded first, the loader batches too)
+        # rasterizing needs numpy; loaded first, the loader checks the rings in its kernel
+        import numpy  # noqa: F401
     dataset = load_dataset(args.input)
     if args.mode == "polygon":
-        records = []
+        records, rings, wheres = [], [], []
         derived = kept = 0
-        with _PendingRings() as pending:  # translate_polygon(roof, offset), batched
+        try:
             for r in dataset.records:
                 instances = []
                 before = derived
                 for k, inst in enumerate(r.instances):
                     if inst.roof is not None and inst.offset is not None:
+                        # translate_polygon(roof, offset), its simplicity checked below
                         where = f"image {r.image_id!r}, instance {k}"
-                        ring = ((x + inst.offset.dx, y + inst.offset.dy) for x, y in inst.roof.vertices)
-                        footprint = pending.polygon(_parse(where, _canonical_ring, ring), where)
-                        instances.append(replace(inst, footprint=footprint))
+                        dx, dy = inst.offset.dx, inst.offset.dy
+                        ring = ((x + dx, y + dy) for x, y in inst.roof.vertices)
+                        rings.append(_parse(where, _canonical_ring, ring))
+                        wheres.append(where)
+                        try:  # the roof may deviate from the rounded footprint - offset
+                            instances.append(replace(inst, footprint=Polygon2D._trusted(rings[-1])))
+                        except DatasetError as e:
+                            raise DatasetError(f"{where}: {e}") from e
                         derived += 1
                     else:
                         instances.append(inst)
                         kept += 1
                 # a record with no derived footprint is kept as loaded, unchecked again
                 records.append(r if derived == before else replace(r, instances=tuple(instances)))
+        except DatasetError:
+            _check_rings(rings, wheres)  # a non-simple earlier ring wins
+            raise
+        _check_rings(rings, wheres)
         out = Dataset(records=tuple(records), metadata=dict(dataset.metadata), extra=dict(dataset.extra))
         save_dataset(out, args.out)
         print(f"derived {derived} footprint(s), kept {kept} as-is", file=sys.stderr)
@@ -191,7 +202,8 @@ def _cmd_footprint(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    import numpy  # noqa: F401  (evaluating needs it; loaded first, the loader batches too)
+    # evaluating needs numpy; loaded first, the loader checks the rings in its kernel
+    import numpy  # noqa: F401
     pred = load_dataset(args.pred)
     gt = load_dataset(args.gt)
     result = evaluate(pred, gt, iou_threshold=args.iou)

@@ -32,8 +32,7 @@ from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .geometry import (
-    _BATCH_EDGES, _MAX_COORD, TWO_PI, ImagePose, Polygon2D, Vec2, _canonical_flat, _finite,
-    _first_non_simple, _first_violation, _kernel_chunks, _numpy_loaded,
+    TWO_PI, ImagePose, Polygon2D, Vec2, _canonical_flat, _finite, _first_non_simple, _signed_area,
 )
 
 ROOF_OFFSET_TOL_PX = 1e-6
@@ -259,56 +258,27 @@ def _parse(where: str, parse, value):
         raise DatasetError(f"{where}: {e}") from e
 
 
-class _PendingRings:
-    """Rings whose simplicity check is deferred, in the order they were built:
-    the loader's, and the footprints `footprint --mode polygon` derives.
-
-    They are checked together once they reach _BATCH_EDGES edges (one
-    kernel chunk), so a non-simple ring raises before much after it is
-    built, and the rings held stay bounded. On leaving a with block, also
-    by an exception, the rest are checked, so the earlier error wins.
-    """
-
-    def __init__(self):
-        self.rings, self.wheres, self.edges = [], [], 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, error, tb):
-        if kind is None or issubclass(kind, Exception):
-            self.check()
-
-    def polygon(self, verts: tuple, where: str) -> Polygon2D:
-        """Polygon over canonical vertices, its simplicity check deferred."""
-        self.rings.append(verts)
-        self.wheres.append(where)
-        self.edges += len(verts)
-        if self.edges >= _BATCH_EDGES:
-            self.check()
-        return Polygon2D._trusted(verts)
-
-    def check(self) -> None:
-        """Raise the DatasetError "<where>: <message>" of the first non-simple
-        pending ring."""
-        rings, wheres = self.rings, self.wheres
-        self.rings, self.wheres, self.edges = [], [], 0
-        found = _first_non_simple(rings)
-        if found is not None:
-            index, message = found
-            raise DatasetError(f"{wheres[index]}: {message}") from None
+def _check_rings(rings, wheres) -> None:
+    """Raise the DatasetError "<where>: <message>" of the first non-simple
+    ring of rings, wheres[i] being ring i's location."""
+    found = _first_non_simple(rings)
+    if found is not None:
+        index, message = found
+        raise DatasetError(f"{wheres[index]}: {message}") from None
 
 
-def _flat_to_polygon(values, where: str, pending: _PendingRings) -> Polygon2D:
-    """Polygon over canonical vertices; its simplicity check is deferred to
-    pending (see dataset_from_json)."""
+def _flat_to_polygon(values, where: str) -> Polygon2D:
+    """Polygon over the canonical vertices of a flat coordinate list, fully
+    checked."""
     if not isinstance(values, (list, tuple)):
         raise DatasetError(f"{where}: polygon must be a flat coordinate list")
     if len(values) % 2 != 0 or len(values) < 6:
         raise DatasetError(
             f"{where}: polygon needs an even number of >= 6 coordinates, got {len(values)}"
         )
-    return pending.polygon(_number(where, "coordinate", _canonical_flat, values), where)
+    verts = _number(where, "coordinate", _canonical_flat, values)
+    _check_rings((verts,), (where,))
+    return Polygon2D._trusted(verts)
 
 
 def _polygon_to_flat(p: Polygon2D) -> list:
@@ -319,7 +289,7 @@ def _polygon_to_flat(p: Polygon2D) -> list:
     return flat
 
 
-def _instance_from_json(obj, where: str, pending: _PendingRings) -> BuildingInstance:
+def _instance_from_json(obj, where: str) -> BuildingInstance:
     if not isinstance(obj, dict):
         raise DatasetError(f"{where}: instance must be an object")
     obj = dict(obj)
@@ -332,8 +302,8 @@ def _instance_from_json(obj, where: str, pending: _PendingRings) -> BuildingInst
         if not (isinstance(offset, (list, tuple)) and len(offset) == 2):
             raise DatasetError(f"{where}: offset must be a [dx, dy] pair")
         offset = _number(where, "offset", lambda xy: Vec2(*map(float, xy)), offset)
-    footprint = None if footprint is None else _flat_to_polygon(footprint, where, pending)
-    roof = None if roof is None else _flat_to_polygon(roof, where + " (roof)", pending)
+    footprint = None if footprint is None else _flat_to_polygon(footprint, where)
+    roof = None if roof is None else _flat_to_polygon(roof, where + " (roof)")
     height = None if height is None else _number(where, "height", float, height)
     score = None if score is None else _number(where, "score", float, score)
     try:
@@ -360,7 +330,7 @@ def _instance_to_json(inst: BuildingInstance) -> dict:
     return out
 
 
-def _record_from_json(obj, index: int, pending: _PendingRings) -> SampleRecord:
+def _record_from_json(obj, index: int) -> SampleRecord:
     if not isinstance(obj, dict):
         raise DatasetError(f"images[{index}] must be an object")
     obj = dict(obj)
@@ -394,7 +364,7 @@ def _record_from_json(obj, index: int, pending: _PendingRings) -> SampleRecord:
     if not isinstance(instances, list):
         raise DatasetError(f"{where}: instances must be an array")
     instances = [
-        _instance_from_json(o, f"{where}, instance {k}", pending)
+        _instance_from_json(o, f"{where}, instance {k}")
         for k, o in enumerate(instances)
     ]
     return SampleRecord(
@@ -440,15 +410,12 @@ def dataset_from_json(obj) -> Dataset:
     metadata = obj.pop("metadata", {})
     if not isinstance(metadata, dict):
         raise DatasetError('"metadata" must be an object')
-    if _numpy_loaded():
-        # where the batched route cannot prove the document valid, the
-        # ring-by-ring route loads it or reports its first error
-        with contextlib.suppress(DatasetError, ValueError, OverflowError, TypeError):
-            return Dataset(records=_records_batched(images), metadata=metadata, extra=obj)
-    # rings are checked in batches; the first error in document order wins
-    with _PendingRings() as pending:
-        records = [_record_from_json(o, k, pending) for k, o in enumerate(images)]
-        return Dataset(records=tuple(records), metadata=metadata, extra=obj)
+    # the walk takes every document it proves valid; the ring-by-ring route
+    # loads any other, or reports its first error in document order
+    with contextlib.suppress(DatasetError, ValueError, OverflowError, TypeError):
+        return Dataset(records=_walk_records(images), metadata=metadata, extra=obj)
+    records = [_record_from_json(o, k) for k, o in enumerate(images)]
+    return Dataset(records=tuple(records), metadata=metadata, extra=obj)
 
 
 def _exact(value, kind):
@@ -458,123 +425,77 @@ def _exact(value, kind):
     return value
 
 
-def _numbers(values):
-    """values, or a TypeError unless each is exactly an int or a float."""
-    if not _JSON_NUMBERS.issuperset(map(type, values)):
-        raise TypeError
-    return values
-
-
-def _records_batched(images) -> tuple:
+def _walk_records(images) -> tuple:
     """The records the ring-by-ring route builds from images, or an error
     (DatasetError, ValueError, OverflowError or TypeError) where a value is
-    not exactly of its JSON type or a check fails.
+    not exactly of its JSON type, an image is 2**53 px or more wide or high,
+    or a check fails.
 
-    One walk collects every ring, offset, height and score; each column is
-    converted in one pass. Rings of equal vertex count are canonicalized and
-    checked together in the simplicity kernel's chunks: the +-2**500 bound,
-    _signed_area's sum (its operations in its order), the reversal of a
-    negative winding, the frame of the ring's image and the kernel. Then
-    _check_instance's checks run on the columns, the roof deviation on the
-    canonical coordinates, with the same float operations.
+    One pass over the images builds every object trusted. Each ring is
+    converted once and must lie in its image's frame, by SampleRecord's
+    comparisons in its float bounds (so each coordinate is finite and far
+    inside +-2**500); _signed_area's sign winds it, and a zero area is
+    refused. Each instance goes through _check_instance. Then one pass checks
+    that every number read is exactly an int or a float, and one
+    _first_non_simple call the simplicity of every ring: a repeated vertex
+    fails it too, as two edges not adjacent start there or one of length 0
+    folds back.
     """
-    import numpy as np
+    lists, scalars, rings, records = [], [], [], []
 
-    flats, frames = [], []  # the rings, and the width and height of each one's image
-    offsets, heights, scores = [], [], []
-    paired = []  # the footprint ring and the offset of each instance that also has a roof
-    for image in images:
-        frame = [_exact(_exact(image, dict).get(k), int) for k in ("width", "height")]
-        if not (type(image.get("id")) is str and 0 < min(frame) and max(frame) < 2**53):
+    def polygon(flat):
+        if len(_exact(flat, list)) % 2 or len(flat) < 6:
             raise TypeError
-        for inst in _exact(image.get("instances", []), list):
-            fp, roof, offset, h, score = map(_exact(inst, dict).get, _INSTANCE_KEYS)
-            if fp is None and (roof is None or offset is None):
+        lists.append(flat)
+        it = map(float, flat)
+        verts = tuple(zip(it, it))
+        for x, y in verts:
+            if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
                 raise TypeError
-            if offset is not None:
-                if len(_exact(offset, list)) != 2:
-                    raise TypeError
-                if fp is not None and roof is not None:
-                    paired += (len(flats), len(offsets))
-                offsets.append(offset)
-            for flat in (fp, roof):
-                if flat is not None:
-                    flats.append(_exact(flat, list))
-                    frames.append(frame)
-            if h is not None:
-                heights.append(h)
-            if score is not None:
-                scores.append(score)
-    # every coordinate, offset component, height and score
-    _numbers(chain(chain.from_iterable(flats), chain.from_iterable(offsets), heights, scores))
-    offsets = np.fromiter(map(float, chain.from_iterable(offsets)), float, 2 * len(offsets))
-    heights = np.fromiter(map(float, heights), float, len(heights))
-    scores = np.fromiter(map(float, scores), float, len(scores))
-    if not (np.isfinite(offsets).all() and ((heights >= 0.0) & (heights < np.inf)).all()
-            and ((scores >= 0.0) & (scores <= 1.0)).all()):
-        raise TypeError  # also for NaN, which fails every comparison
-    sizes = [len(flat) if len(flat) % 2 == 0 else 0 for flat in flats]  # odd: 0, refused below
-    xy = np.fromiter(map(float, chain.from_iterable(flats)), float, sum(sizes))
-    if not (min(sizes, default=6) >= 6 and np.abs(xy).max(initial=0.0) <= _MAX_COORD):
-        raise TypeError  # also for NaN, which fails every comparison
-    sizes = np.array(sizes, int)
-    starts = np.cumsum(sizes) - sizes
-    frames = np.array(frames, float).reshape(-1, 2)
-    polygons = [None] * len(flats)
-    for n, chunk in _kernel_chunks(size // 2 for size in sizes.tolist()):
-        at = starts[chunk, None] + np.arange(2 * n)
-        p = xy[at].reshape(len(chunk), n, 2)
-        d = p[:, 1:] - p[:, :1]
-        area = 0.5 * np.add.accumulate(
-            d[:, :-1, 0] * d[:, 1:, 1] - d[:, 1:, 0] * d[:, :-1, 1], axis=1)[:, -1]
-        p[area < 0.0] = p[area < 0.0, ::-1]
-        xy[at] = p.reshape(len(chunk), 2 * n)  # canonical, for the roof deviation
-        # SampleRecord's frame check, in the same float bounds
-        outside = (p.min(axis=1) < -frames[chunk]) | (p.max(axis=1) > 2 * frames[chunk])
-        if not area.all() or outside.any() or _first_violation(p) is not None:
+        area = _signed_area(verts)
+        if area == 0.0:
             raise TypeError
-        for i, row in zip(chunk, p.reshape(len(chunk), 2 * n).tolist()):
-            # a repeated vertex fails the kernel: two edges not adjacent start
-            # there, or one of length 0 folds back (exact zeros either way)
-            it = iter(row)
-            polygons[i] = tuple(zip(it, it))
-    if paired:
-        # _check_instance's roof - (footprint - offset), coordinate by coordinate:
-        # a roof's ring follows its footprint's, and every ring starts at an even index
-        fp, offset = np.array(paired).reshape(-1, 2).T
-        n = sizes[fp]
-        if (n != sizes[fp + 1]).any():
-            raise TypeError
-        at = np.arange(n.sum()) + np.repeat(starts[fp] - (np.cumsum(n) - n), n)
-        dev = np.abs(xy[at + np.repeat(n, n)]
-                     - (xy[at] - offsets.reshape(-1, 2)[np.repeat(offset, n), at % 2]))
-        if not (dev <= ROOF_OFFSET_TOL_PX).all():
-            raise TypeError
-    polygons = map(Polygon2D._trusted, polygons)
-    vectors = (Vec2._trusted(dx, dy) for dx, dy in offsets.reshape(-1, 2).tolist())
-    heights, scores = iter(heights.tolist()), iter(scores.tolist())
-    records = []
+        rings.append(verts if area > 0.0 else verts[::-1])
+        return Polygon2D._trusted(rings[-1])
+
     for image in images:
-        image = dict(image)
+        image = dict(_exact(image, dict))
+        image_id, width, height = (image.pop(k, None) for k in ("id", "width", "height"))
+        if not (type(image_id) is str and 0 < _exact(width, int) < 2**53
+                and 0 < _exact(height, int) < 2**53):
+            raise TypeError
+        x_lo, x_hi, y_lo, y_hi = -float(width), 2.0 * width, -float(height), 2.0 * height
         pose, pose_extra = image.pop("pose", None), {}
         if pose is not None:
             pose_extra = dict(_exact(pose, dict))
-            pose = ImagePose(*map(float, _numbers(
-                [pose_extra.pop(k, None) for k in ("tan_theta", "phi", "scale_s")])))
+            values = [pose_extra.pop(k, None) for k in ("tan_theta", "phi", "scale_s")]
+            scalars += values
+            pose = ImagePose(*map(float, values))
         instances = []
-        for inst in image.pop("instances", []):
-            fp, roof, offset, h, score = map(inst.get, _INSTANCE_KEYS)
-            # trusted: the columns and rings are checked above
+        for inst in _exact(image.pop("instances", []), list):
+            fp, roof, offset, h, score = map(_exact(inst, dict).get, _INSTANCE_KEYS)
+            if offset is not None:
+                if len(_exact(offset, list)) != 2:
+                    raise TypeError
+                lists.append(offset)
+                offset = Vec2(*map(float, offset))
+            fp = None if fp is None else polygon(fp)
+            roof = None if roof is None else polygon(roof)
+            if h is not None:
+                scalars.append(h)
+                h = float(h)
+            if score is not None:
+                scalars.append(score)
+                score = float(score)
+            _check_instance(fp, roof, offset, h, score)
             instances.append(BuildingInstance._trusted(
-                None if fp is None else next(polygons), None if roof is None else next(polygons),
-                None if offset is None else next(vectors), None if h is None else next(heights),
-                None if score is None else next(scores),
-                {} if _INSTANCE_KEY_SET.issuperset(inst)
+                fp, roof, offset, h, score, {} if _INSTANCE_KEY_SET.issuperset(inst)
                 else {k: v for k, v in inst.items() if k not in _INSTANCE_KEY_SET}))
-        # trusted: the id, the size and the frame of every ring are checked above
-        records.append(SampleRecord._trusted(image.pop("id"), image.pop("width"),
-                                             image.pop("height"), pose, tuple(instances), image,
-                                             pose_extra))
+        records.append(SampleRecord._trusted(image_id, width, height, pose, tuple(instances),
+                                             image, pose_extra))
+    if not (_JSON_NUMBERS.issuperset(map(type, chain(chain.from_iterable(lists), scalars)))
+            and _first_non_simple(rings) is None):
+        raise TypeError
     return tuple(records)
 
 

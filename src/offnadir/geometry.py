@@ -396,7 +396,7 @@ def _simplicity_message(n: int, first: int) -> str:
 
 
 def _numpy_loaded() -> bool:
-    return "numpy" in sys.modules
+    return sys.modules.get("numpy") is not None  # None: its import is blocked
 
 
 def _first_non_simple(rings):

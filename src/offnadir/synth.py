@@ -69,6 +69,9 @@ class SynthConfig:
                 raise ValueError(f"synth config {key!r} must be {kind}")
         if self.image_w <= 0 or self.image_h <= 0:
             raise ValueError(f"image dimensions must be positive, got {self.image_w}x{self.image_h}")
+        for key in ("image_w", "image_h"):
+            if getattr(self, key) > sys.float_info.max:  # placement runs in floats
+                raise ValueError(f"synth config {key!r} must be at most {sys.float_info.max!r}")
         if self.n_images < 0:
             raise ValueError(f"n_images must be >= 0, got {self.n_images}")
         for name in ("buildings_per_image", "height_range", "tan_theta_range", "phi_range"):

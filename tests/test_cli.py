@@ -273,6 +273,39 @@ def test_footprint_cli_polygon_mode_names_an_untranslatable_roof(tmp_path, capsy
     assert not out.exists()
 
 
+def test_footprint_cli_polygon_mode_reports_an_earlier_non_simple_footprint_first(tmp_path,
+                                                                                  capsys):
+    # the notch tip 1e-17 above the roof's bottom edge rounds onto it in
+    # roof + (0, 1): a footprint that touches itself, checked after the
+    # untranslatable roof that follows it has raised
+    notch = {"roof": [0, 0, 4, 0, 4, 4, 2, 1e-17, 0, 4], "offset": [0, 1], "height": 4.0}
+    scene = tmp_path / "notch.json"
+    scene.write_text(json.dumps({"images": [
+        {"id": "a", "width": 16, "height": 16, "instances": [notch, UNTRANSLATABLE]}]}))
+    out = tmp_path / "fp.json"
+    assert run(["footprint", "--in", str(scene), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: image 'a', instance 0: polygon is not simple (self-intersection)\n")
+    assert not out.exists()
+
+
+def test_footprint_cli_polygon_mode_names_the_instance_whose_roof_deviates(tmp_path, capsys):
+    # a valid document: 2**40 px out, roof + offset rounds by half a unit in
+    # the last place, so that footprint - offset misses the roof by 2**-13
+    scene = tmp_path / "far.json"
+    scene.write_text(json.dumps({"images": [
+        {"id": "a", "width": 2**41, "height": 16,
+         "instances": [{"roof": [2.0**40, 1.0, 2.0**40 + 10, 1.0, 2.0**40 + 10, 5.0],
+                        "offset": [0.41271036562235774, 0.0], "height": 3.0}]}]}))
+    load_dataset(scene)
+    out = tmp_path / "fp.json"
+    assert run(["footprint", "--in", str(scene), "--out", str(out), "--mode", "polygon"]) == 2
+    assert capsys.readouterr().err == (
+        "error: image 'a', instance 0: roof deviates from footprint - offset by 0.000122 px "
+        "(> 1e-06 px)\n")
+    assert not out.exists()
+
+
 def test_footprint_cli_raster_mode(tmp_path, scene_path):
     out = tmp_path / "fp_masks.json"
     assert run(["footprint", "--in", str(scene_path), "--out", str(out), "--mode", "raster"]) == 0
@@ -418,7 +451,10 @@ def test_synth_rejects_wrongly_typed_config(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("changes, message", [
     (dict(phi_range=[-1.7e308, 1.7e308]), "error: phi_range must have a finite width max - min"),
     (dict(tan_theta_range=[0.0, 1.7e308]), "error: image 0: the offset of building 1/"),
-], ids=["phi-width", "offset"])
+    # placement would convert these sides to floats
+    (dict(image_w=2**1100), "error: synth config 'image_w' must be at most 1.7976931348623157e+308"),
+    (dict(image_h=2**1100), "error: synth config 'image_h' must be at most 1.7976931348623157e+308"),
+], ids=["phi-width", "offset", "image-w", "image-h"])
 def test_synth_config_that_overflows_is_a_data_error(tmp_path, capsys, changes, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**CFG, **changes}))

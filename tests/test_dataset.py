@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -33,7 +34,9 @@ from offnadir.dataset import (
     strip_annotations,
     validate_consistency,
 )
-from offnadir.geometry import ImagePose, Polygon2D, Vec2, _canonical_ring, translate_polygon
+from offnadir.geometry import (
+    ImagePose, Polygon2D, Vec2, _canonical_ring, _first_non_simple, translate_polygon,
+)
 from offnadir.synth import SynthConfig, degrade_dataset, generate_scenes
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -605,14 +608,31 @@ def _load_outcome(doc):
         return str(e)
 
 
-@pytest.fixture
-def ring_by_ring(monkeypatch):
-    """Loads take the ring-by-ring route, as without numpy; its simplicity
-    checks still run in the kernel, since numpy is loaded."""
-    monkeypatch.setattr(dataset_module, "_numpy_loaded", lambda: False)
+# The loader's two routes: the walk (dataset._walk_records), which takes a
+# document only when it proves it valid, checking the number types and the
+# simplicity of all its rings in one batch each; and the ring-by-ring route,
+# which loads any other document or reports its first error.
+def _refuse(images):
+    raise TypeError  # as the walk does for a document it does not take
 
 
-@pytest.mark.usefixtures("ring_by_ring")
+# _first_non_simple's two routes, for rings of any size and count
+SIMPLICITY_ROUTES = {
+    "kernel": {"_BROADCAST_MIN_VERTICES": 0},
+    "loop": {"_BROADCAST_MIN_VERTICES": 2**62, "_numpy_loaded": lambda: False},
+}
+
+
+@contextlib.contextmanager
+def _simplicity_route(route):
+    from offnadir import geometry
+
+    with pytest.MonkeyPatch.context() as m:
+        for name, value in SIMPLICITY_ROUTES[route].items():
+            m.setattr(geometry, name, value)
+        yield
+
+
 @pytest.mark.parametrize("batch_pairs", [None, 1])
 def test_batched_simplicity_check_matches_per_polygon_loading(batch_pairs, monkeypatch):
     from offnadir import dataset, geometry
@@ -632,8 +652,10 @@ def test_batched_simplicity_check_matches_per_polygon_loading(batch_pairs, monke
     for _ in range(400):
         doc = _parity_document(rng)
         got = _load_outcome(doc)
+        # the ring-by-ring route alone, each ring fully checked on its own
         rings = []
         with monkeypatch.context() as m:
+            m.setattr(dataset, "_walk_records", _refuse)
             m.setattr(dataset, "_canonical_flat", reference)
             want = _load_outcome(doc)
         assert rings, "the loader no longer canonicalizes through _canonical_flat"
@@ -673,7 +695,6 @@ def _canonical_rings(doc):
     return rings
 
 
-@pytest.mark.usefixtures("ring_by_ring")
 @pytest.mark.parametrize("broadcast_min", [None, 41])
 def test_loop_route_without_numpy_matches_the_kernel_route(broadcast_min, monkeypatch):
     # numpy is loaded in the test process, so unpatched _first_non_simple
@@ -704,14 +725,13 @@ def test_loop_route_without_numpy_matches_the_kernel_route(broadcast_min, monkey
     assert found >= 100
 
 
-@pytest.mark.usefixtures("ring_by_ring")
-def test_loader_checks_pending_rings_a_kernel_chunk_at_a_time(monkeypatch):
+def test_loader_checks_the_rings_of_a_file_in_one_call(monkeypatch):
     from offnadir import dataset, geometry
 
     checked = []
 
     def first_non_simple(rings):
-        checked.append(sum(map(len, rings)))
+        checked.append(len(rings))
         return geometry._first_non_simple(rings)
 
     monkeypatch.setattr(dataset, "_first_non_simple", first_non_simple)
@@ -720,16 +740,20 @@ def test_loader_checks_pending_rings_a_kernel_chunk_at_a_time(monkeypatch):
     images = [{"id": f"img-{i}", "width": 32, "height": 32,
                "instances": [{"footprint": square}] * 10} for i in range(100)]
     dataset_from_json({"images": images})
-    # 1000 squares of 4 edges: one check per 2**11 edges, then the rest
-    assert checked == [geometry._BATCH_EDGES, 4000 - geometry._BATCH_EDGES]
-    # a non-simple ring raises once its chunk fills, before later records
-    # are parsed, and before any error in them; no ring is checked twice
+    assert checked == [1000]  # the walk's one call
+    # a non-simple ring fails that call; the ring-by-ring route then checks
+    # each ring as it builds it, and stops at the first bad one
     checked.clear()
-    images[0]["instances"] = [{"footprint": bowtie}]
-    images[-1] = "not an object"
-    with pytest.raises(DatasetError, match="image 'img-0', instance 0: polygon is not simple"):
+    images[1]["instances"] = [{"footprint": bowtie}]
+    with pytest.raises(DatasetError, match="^image 'img-1', instance 0: polygon is not simple"):
         dataset_from_json({"images": images})
-    assert checked[0] == sum(checked) == geometry._BATCH_EDGES
+    assert checked == [991] + [1] * 11
+    # it wins over any later error, which also makes the walk give up first
+    checked.clear()
+    images[-1] = "not an object"
+    with pytest.raises(DatasetError, match="^image 'img-1', instance 0: polygon is not simple"):
+        dataset_from_json({"images": images})
+    assert checked == [1] * 11
 
 
 @st.composite
@@ -861,69 +885,106 @@ WORKLOAD_PATHS = {name: list(_paths(doc))[1:] for name, doc in WORKLOADS.items()
 
 def _on_both_routes(doc):
     """doc as JSON text decoded (by the C or the pure-Python decoder), then
-    loaded on the batched route and on the ring-by-ring route: each a
-    Dataset or a DatasetError's text."""
+    loaded as the loader does, by the walk where it takes doc, and on the
+    ring-by-ring route alone: each a Dataset or a DatasetError's text."""
     doc = json.loads(json.dumps(doc))
-    batched = _load_outcome(doc)
+    walked = _load_outcome(doc)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(dataset_module, "_numpy_loaded", lambda: False)
-        return batched, _load_outcome(doc)
+        m.setattr(dataset_module, "_walk_records", _refuse)
+        return walked, _load_outcome(doc)
 
 
-def _assert_same(batched, ring_by_ring):
+def _assert_same(walked, ring_by_ring):
     # repr also tells -0.0 from 0.0 and an int from a float
-    assert batched == ring_by_ring
-    assert repr(batched) == repr(ring_by_ring)
+    assert walked == ring_by_ring
+    assert repr(walked) == repr(ring_by_ring)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_batched_route_loads_every_workload_document(name):
     doc = json.loads(json.dumps(WORKLOADS[name]))
-    assert dataset_module._records_batched(doc["images"])  # raises where it would fall back
+    assert dataset_module._walk_records(doc["images"])  # raises where it would fall back
     _assert_same(*_on_both_routes(doc))
+
+
+# load and re-save each file named, where importing numpy raises ImportError
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from offnadir.dataset import load_dataset, save_dataset
+for path in sys.argv[1:]:
+    save_dataset(load_dataset(path), path + ".cold")
+"""
+
+
+def test_small_ring_documents_load_and_save_the_same_bytes_without_numpy(tmp_path):
+    # `city` and `tiles` rings have 4 to 6 vertices, which the loop checks
+    # when numpy is not loaded: loads on the walk, and on the ring-by-ring
+    # route (an image 2**53 px wide), import no numpy and give the bytes
+    # they give with numpy loaded
+    docs = [doc for name, doc in sorted(WORKLOADS.items()) if not name.startswith("stars")]
+    wide = copy.deepcopy(WORKLOADS["city gt"])
+    wide["images"][0]["width"] = 2**53
+    paths = []
+    for k, doc in enumerate(docs + [wide]):
+        paths.append(tmp_path / f"{k}.json")
+        paths[-1].write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dataset_module.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.getenv("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *map(str, paths)], env=env, check=True)
+    assert "numpy" in sys.modules
+    for path in paths:
+        save_dataset(load_dataset(path), path.with_suffix(".warm"))
+        assert path.with_suffix(".json.cold").read_bytes() == path.with_suffix(".warm").read_bytes()
 
 
 def test_batched_route_refuses_a_ring_whose_half_area_rounds_to_zero():
     # twice its area is 2**-1074, half of that rounds to 0; the simplicity
-    # kernel finds no violation, so only the area check refuses the ring
+    # check finds no violation, so only the area check refuses the ring
     tiny = 2.0**-537
     doc = {"images": [{"id": "a", "width": 8, "height": 8,
                        "instances": [{"footprint": [0, 0, tiny, 0, 0, tiny]}]}]}
-    batched, ring_by_ring = _on_both_routes(doc)
-    assert batched == ring_by_ring == "image 'a', instance 0: polygon has zero area"
+    assert _first_non_simple((((0.0, 0.0), (tiny, 0.0), (0.0, tiny)),)) is None
+    walked, ring_by_ring = _on_both_routes(doc)
+    assert walked == ring_by_ring == "image 'a', instance 0: polygon has zero area"
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 17])
 def test_batched_route_refuses_every_repeated_vertex(n):
-    # it runs no set() test: the area or the simplicity kernel refuses
-    # every ring with a repeated vertex, and the ring-by-ring route names it
+    # the walk runs no set() test: the area or the simplicity check, on
+    # either of its routes, refuses every ring with a repeated vertex, and
+    # the ring-by-ring route names it
     ring = [(round(100 + 50 * math.cos(2 * math.pi * k / n), 3),
              round(100 + 50 * math.sin(2 * math.pi * k / n), 3)) for k in range(n)]
-    for i, j in itertools.permutations(range(n), 2):
-        pts = list(ring)
-        pts[j] = pts[i]
-        images = [{"id": "a", "width": 200, "height": 200,
-                   "instances": [{"footprint": _flat(pts)}]}]
-        with pytest.raises(TypeError):
-            dataset_module._records_batched(images)
-        with pytest.raises(DatasetError, match=": polygon has repeated vertices$"):
-            dataset_from_json({"images": images})
+    for route in SIMPLICITY_ROUTES:
+        with _simplicity_route(route):
+            for i, j in itertools.permutations(range(n), 2):
+                pts = list(ring)
+                pts[j] = pts[i]
+                images = [{"id": "a", "width": 200, "height": 200,
+                           "instances": [{"footprint": _flat(pts)}]}]
+                with pytest.raises(TypeError):
+                    dataset_module._walk_records(images)
+                with pytest.raises(DatasetError, match=": polygon has repeated vertices$"):
+                    dataset_from_json({"images": images})
 
 
 def test_batched_route_checks_the_frame_with_its_bounds_included():
     # SampleRecord's frame is [-w, 2w] x [-h, 2h]
     doc = {"images": [{"id": "a", "width": 10, "height": 8,
                        "instances": [{"footprint": [-10, -8, 20, -8, 20, 16, -10, 16]}]}]}
-    assert dataset_module._records_batched(doc["images"])
-    _assert_same(*_on_both_routes(doc))
-    for k, beyond in enumerate((-10.000000000000002, -8.000000000000002, 20.000000000000004,
-                                16.000000000000004)):
-        bad = copy.deepcopy(doc)
-        bad["images"][0]["instances"][0]["footprint"][(0, 1, 2, 5)[k]] = beyond
-        with pytest.raises(TypeError):
-            dataset_module._records_batched(bad["images"])
-        _assert_same(*_on_both_routes(bad))
-        assert "outside the allowed frame" in _load_outcome(bad)
+    for route in SIMPLICITY_ROUTES:
+        with _simplicity_route(route):
+            assert dataset_module._walk_records(doc["images"])
+            _assert_same(*_on_both_routes(doc))
+            for k, beyond in enumerate((-10.000000000000002, -8.000000000000002,
+                                        20.000000000000004, 16.000000000000004)):
+                bad = copy.deepcopy(doc)
+                bad["images"][0]["instances"][0]["footprint"][(0, 1, 2, 5)[k]] = beyond
+                with pytest.raises(TypeError):
+                    dataset_module._walk_records(bad["images"])
+                _assert_same(*_on_both_routes(bad))
+                assert "outside the allowed frame" in _load_outcome(bad)
     # from 2**53 on, SampleRecord compares with int bounds, which a float
     # bound rounds: -(2**53 + 3) becomes -(2**53 + 4)
     size = 2**53 + 3
@@ -979,14 +1040,14 @@ EDGES_LOADED = {"score -0.0", "score 1", "offset [1e308, -1e308]", "roof off by 
 @pytest.mark.parametrize("edge", sorted(EDGES))
 def test_batched_route_agrees_at_the_instance_edges(edge):
     doc = json.loads(json.dumps(_edge_document(edge)))
-    batched, ring_by_ring = _on_both_routes(doc)
-    _assert_same(batched, ring_by_ring)
-    assert isinstance(batched, Dataset) == (edge in EDGES_LOADED), batched
+    walked, ring_by_ring = _on_both_routes(doc)
+    _assert_same(walked, ring_by_ring)
+    assert isinstance(walked, Dataset) == (edge in EDGES_LOADED), walked
     if edge in EDGES_LOADED:
-        assert dataset_module._records_batched(doc["images"])  # taken, not fallen back from
+        assert dataset_module._walk_records(doc["images"])  # taken, not fallen back from
     else:
-        with pytest.raises((TypeError, OverflowError)):
-            dataset_module._records_batched(doc["images"])
+        with pytest.raises((DatasetError, ValueError, OverflowError, TypeError)):
+            dataset_module._walk_records(doc["images"])
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

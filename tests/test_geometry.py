@@ -530,6 +530,10 @@ def test_simplicity_route_table(sizes, numpy_loaded, route, monkeypatch):
     assert ("kernel" if kernel else "loop") == route
 
 
+def _refuse(images):
+    raise TypeError  # as the loader's walk does for a document it does not take
+
+
 def test_huge_ring_checked_in_bounded_memory(monkeypatch):
     import tracemalloc
 
@@ -542,8 +546,9 @@ def test_huge_ring_checked_in_bounded_memory(monkeypatch):
     crossed = list(circle)
     crossed[100], crossed[10_100] = crossed[10_100], crossed[100]
     message = "polygon is not simple (self-intersection)"
-    for batched in (True, False):  # the loader's batched and ring-by-ring routes
-        monkeypatch.setattr(dataset, "_numpy_loaded", lambda: batched)
+    for walked in (True, False):  # the loader's walk, and its ring-by-ring route alone
+        if not walked:
+            monkeypatch.setattr(dataset, "_walk_records", _refuse)
         for verts, simple in ((circle, True), (crossed, False)):
             doc = {"images": [{"id": "a", "width": 2000, "height": 2000,
                                "instances": [{"footprint": [c for p in verts for c in p]}]}]}
@@ -561,7 +566,7 @@ def test_huge_ring_checked_in_bounded_memory(monkeypatch):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 16 * 2**20, (batched, simple)
+            assert peak < 16 * 2**20, (walked, simple)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offnadir import dataset, geometry, raster
+from offnadir import geometry, raster
 from offnadir.dataset import BuildingInstance, Dataset, SampleRecord, dataset_from_json
 from offnadir.geometry import ImagePose, Polygon2D, Vec2, translate_polygon
 from offnadir.metrics import (
@@ -525,7 +525,6 @@ def test_eval_passes_hold_their_bounds(monkeypatch):
 
     monkeypatch.setattr(raster, "_pass", spy_pass)
     monkeypatch.setattr(geometry, "_first_violation", spy_kernel)
-    monkeypatch.setattr(dataset, "_first_violation", spy_kernel)
     shapes = [
         _ring(4, 40, 40, [20]), _ring(6, 40, 40, [30, 15]), _ring(64, 80, 80, [60, 30]),
         _ring(400, 300, 300, [200]), [100, 100, 700, 100, 700, 700, 100, 700], _comb(8, 60),
@@ -534,8 +533,7 @@ def test_eval_passes_hold_their_bounds(monkeypatch):
                "instances": [{"footprint": [c + 8 * (k % 5) for c in shapes[(i + k // 20) % 6]]}
                              for k in range(40)]} for i in range(8)]
     d = dataset_from_json({"images": images})
-    # the ring-by-ring route's kernel calls, with more small rings than one
-    # call may take
+    # more small rings than one kernel call may take
     rings = [inst.footprint.vertices for r in d.records for inst in r.instances]
     geometry._first_non_simple(rings + rings[:20] * 40)
     evaluate(d, d)
