@@ -41,7 +41,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 # component keys of a loss sample; the detection-network ones are read first
-_EXTERNAL_KEYS = frozenset(f.name for f in fields(ExternalLossInputs))
+_EXTERNAL_NAMES = tuple(f.name for f in fields(ExternalLossInputs))
+_EXTERNAL_KEYS = frozenset(_EXTERNAL_NAMES)
 _LEVEL_KEYS = frozenset(_COMPONENTS)
 
 
@@ -174,9 +175,9 @@ def _cmd_footprint(args) -> int:
                 # a record with no derived footprint is kept as loaded, unchecked again
                 records.append(r if derived == before else replace(r, instances=tuple(instances)))
         except DatasetError:
-            _check_rings(rings, wheres)  # a non-simple earlier ring wins
+            _check_rings(rings, wheres.__getitem__)  # a non-simple earlier ring wins
             raise
-        _check_rings(rings, wheres)
+        _check_rings(rings, wheres.__getitem__)
         out = Dataset(records=tuple(records), metadata=dict(dataset.metadata), extra=dict(dataset.extra))
         save_dataset(out, args.out)
         print(f"derived {derived} footprint(s), kept {kept} as-is", file=sys.stderr)
@@ -272,6 +273,12 @@ def _cmd_loss(args) -> int:
             components = LevelComponents(
                 external=ExternalLossInputs(**ext) if ext else None, **comps
             )
+            if level >= SupervisionLevel.H and not ext:
+                # level_loss would name its 'external' field, which no file
+                # holds, after the components it checks first
+                components.require(level, "l_f", "l_h")
+                raise ValueError(f"level {name} loss needs one of the components "
+                                 f"{', '.join(map(repr, _EXTERNAL_NAMES))}")
             value = level_loss(level, components, weights)
         except ValueError as e:
             raise DatasetError(f"sample {k}: {e}") from e

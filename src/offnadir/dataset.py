@@ -28,11 +28,11 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .geometry import (
-    TWO_PI, ImagePose, Polygon2D, Vec2, _canonical_flat, _finite, _first_non_simple, _signed_area,
+    _MAX_COORD, TWO_PI, ImagePose, Polygon2D, Vec2, _canonical, _finite, _first_non_simple,
+    _signed_area,
 )
 
 ROOF_OFFSET_TOL_PX = 1e-6
@@ -133,7 +133,6 @@ def _is_integer(v) -> bool:
 
 
 _NOT_NUMBERS = frozenset((bool, str))  # float() takes them; JSON numbers they are not
-_JSON_NUMBERS = frozenset((int, float))
 
 
 def _number(where: str, what: str, convert, value):
@@ -258,27 +257,40 @@ def _parse(where: str, parse, value):
         raise DatasetError(f"{where}: {e}") from e
 
 
-def _check_rings(rings, wheres) -> None:
-    """Raise the DatasetError "<where>: <message>" of the first non-simple
-    ring of rings, wheres[i] being ring i's location."""
+def _check_rings(rings, where) -> None:
+    """Raise the DatasetError "<where(i)>: <message>" of the first non-simple
+    ring of rings, i being its index.
+
+    A ring that repeats a vertex gets _canonical's message, as that is the
+    one _canonical test the loader's valid path leaves to this check.
+    """
     found = _first_non_simple(rings)
     if found is not None:
         index, message = found
-        raise DatasetError(f"{wheres[index]}: {message}") from None
+        try:
+            _canonical(rings[index])
+        except ValueError as e:
+            message = str(e)
+        raise DatasetError(f"{where(index)}: {message}") from None
 
 
-def _flat_to_polygon(values, where: str) -> Polygon2D:
-    """Polygon over the canonical vertices of a flat coordinate list, fully
-    checked."""
-    if not isinstance(values, (list, tuple)):
-        raise DatasetError(f"{where}: polygon must be a flat coordinate list")
-    if len(values) % 2 != 0 or len(values) < 6:
-        raise DatasetError(
-            f"{where}: polygon needs an even number of >= 6 coordinates, got {len(values)}"
-        )
-    verts = _number(where, "coordinate", _canonical_flat, values)
-    _check_rings((verts,), (where,))
-    return Polygon2D._trusted(verts)
+def _ring_location(images, index: int) -> str:
+    """The location of ring index of the rings read from images, footprint
+    before roof, in document order."""
+    for image in images:
+        for k, inst in enumerate(image.get("instances", [])):
+            for key, where in (("footprint", ""), ("roof", " (roof)")):
+                if inst.get(key) is not None:
+                    if not index:
+                        return f"image {image['id']!r}, instance {k}{where}"
+                    index -= 1
+
+
+def _pairs(flat) -> tuple:
+    """The float vertex pairs of a flat coordinate list of even length, each
+    coordinate converted once, in list order."""
+    it = map(float, flat)
+    return tuple(zip(it, it))
 
 
 def _polygon_to_flat(p: Polygon2D) -> list:
@@ -289,29 +301,35 @@ def _polygon_to_flat(p: Polygon2D) -> list:
     return flat
 
 
-def _instance_from_json(obj, where: str) -> BuildingInstance:
+def _vec2(xy) -> Vec2:
+    return Vec2(*map(float, xy))
+
+
+def _instance_from_json(obj, polygon) -> BuildingInstance:
+    """The instance of a JSON object, its footprint and roof built by
+    polygon(flat, where). A DatasetError's text is the place in the
+    instance ("" or " (roof)"), ": " and the message."""
     if not isinstance(obj, dict):
-        raise DatasetError(f"{where}: instance must be an object")
-    obj = dict(obj)
-    footprint = obj.pop("footprint", None)
-    roof = obj.pop("roof", None)
-    offset = obj.pop("offset", None)
-    height = obj.pop("height", None)
-    score = obj.pop("score", None)
+        raise DatasetError(": instance must be an object")
+    footprint, roof, offset, height, score = map(obj.get, _INSTANCE_KEYS)
     if offset is not None:
         if not (isinstance(offset, (list, tuple)) and len(offset) == 2):
-            raise DatasetError(f"{where}: offset must be a [dx, dy] pair")
-        offset = _number(where, "offset", lambda xy: Vec2(*map(float, xy)), offset)
-    footprint = None if footprint is None else _flat_to_polygon(footprint, where)
-    roof = None if roof is None else _flat_to_polygon(roof, where + " (roof)")
-    height = None if height is None else _number(where, "height", float, height)
-    score = None if score is None else _number(where, "score", float, score)
+            raise DatasetError(": offset must be a [dx, dy] pair")
+        offset = _number("", "offset", _vec2, offset)
+    footprint = None if footprint is None else polygon(footprint, "")
+    roof = None if roof is None else polygon(roof, " (roof)")
+    if height is not None and type(height) is not float:
+        height = _number("", "height", float, height)
+    if score is not None and type(score) is not float:
+        score = _number("", "score", float, score)
     try:
         _check_instance(footprint, roof, offset, height, score)
     except DatasetError as e:
-        raise DatasetError(f"{where}: {e}") from e
+        raise DatasetError(f": {e}") from e
     # trusted: _check_instance has just passed on these fields
-    return BuildingInstance._trusted(footprint, roof, offset, height, score, obj)
+    return BuildingInstance._trusted(
+        footprint, roof, offset, height, score, {} if _INSTANCE_KEY_SET.issuperset(obj)
+        else {k: v for k, v in obj.items() if k not in _INSTANCE_KEY_SET})
 
 
 def _instance_to_json(inst: BuildingInstance) -> dict:
@@ -330,7 +348,32 @@ def _instance_to_json(inst: BuildingInstance) -> dict:
     return out
 
 
-def _record_from_json(obj, index: int) -> SampleRecord:
+def _pose_from_json(obj, image_id) -> tuple:
+    """The ImagePose and the extra keys of a pose object."""
+    if not isinstance(obj, dict):
+        raise DatasetError(f"image {image_id!r}: pose must be an object")
+    extra = dict(obj)
+    values = []
+    for key in ("tan_theta", "phi", "scale_s"):
+        try:
+            value = extra.pop(key)
+        except KeyError as e:
+            raise DatasetError(f"image {image_id!r}: pose missing key {e}") from e
+        if type(value) is not float:
+            try:
+                value = _number("", "value", float, value)
+            except DatasetError as e:
+                raise DatasetError(f"image {image_id!r}, pose {key}{e}") from e
+        values.append(value)
+    try:
+        return ImagePose(*values), extra
+    except ValueError as e:
+        raise DatasetError(f"image {image_id!r}: {e}") from e
+
+
+def _record_from_json(obj, index: int, rings: list) -> SampleRecord:
+    """The record of images[index], its rings appended to rings; their
+    simplicity is left to the caller."""
     if not isinstance(obj, dict):
         raise DatasetError(f"images[{index}] must be an object")
     obj = dict(obj)
@@ -342,40 +385,57 @@ def _record_from_json(obj, index: int) -> SampleRecord:
         raise DatasetError(f"images[{index}]: missing required key {e}") from e
     if not isinstance(image_id, str):
         raise DatasetError(f"images[{index}]: id must be a string, got {image_id!r}")
-    where = f"image {image_id!r}"
-    pose_obj = obj.pop("pose", None)
-    pose = None
-    pose_extra = {}
-    if pose_obj is not None:
-        if not isinstance(pose_obj, dict):
-            raise DatasetError(f"{where}: pose must be an object")
-        pose_obj = dict(pose_obj)
-        try:
-            pose = ImagePose(*(
-                _number(f"{where}, pose {key}", "value", float, pose_obj.pop(key))
-                for key in ("tan_theta", "phi", "scale_s")
-            ))
-        except KeyError as e:
-            raise DatasetError(f"{where}: pose missing key {e}") from e
-        except ValueError as e:
-            raise DatasetError(f"{where}: {e}") from e
-        pose_extra = pose_obj
+    pose, pose_extra = obj.pop("pose", None), {}
+    if pose is not None:
+        pose, pose_extra = _pose_from_json(pose, image_id)
     instances = obj.pop("instances", [])
     if not isinstance(instances, list):
-        raise DatasetError(f"{where}: instances must be an array")
-    instances = [
-        _instance_from_json(o, f"{where}, instance {k}")
-        for k, o in enumerate(instances)
-    ]
-    return SampleRecord(
-        image_id=image_id,
-        width=width,
-        height=height,
-        pose=pose,
-        instances=tuple(instances),
-        extra=obj,
-        pose_extra=pose_extra,
-    )
+        raise DatasetError(f"image {image_id!r}: instances must be an array")
+    # SampleRecord's float frame where the sides have one; otherwise the
+    # +-2**500 box, and SampleRecord checks the record
+    framed = type(width) is int and type(height) is int and 0 < width < 2**53 and 0 < height < 2**53
+    if framed:
+        x_lo, x_hi, y_lo, y_hi = -float(width), 2.0 * width, -float(height), 2.0 * height
+    else:
+        x_lo, x_hi, y_lo, y_hi = -_MAX_COORD, _MAX_COORD, -_MAX_COORD, _MAX_COORD
+
+    def polygon(flat, where):
+        nonlocal framed
+        if not isinstance(flat, (list, tuple)):
+            raise DatasetError(f"{where}: polygon must be a flat coordinate list")
+        if len(flat) % 2 or len(flat) < 6:
+            raise DatasetError(
+                f"{where}: polygon needs an even number of >= 6 coordinates, got {len(flat)}")
+        # the valid path: numbers that convert, every vertex in bounds, no
+        # boolean or string, and an area of either sign
+        area = 0.0
+        try:
+            verts = _pairs(flat)
+            for x, y in verts:
+                if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+                    raise ValueError
+            if _NOT_NUMBERS.isdisjoint(map(type, flat)):
+                area = _signed_area(verts)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        if area < 0.0:
+            verts = verts[::-1]
+        elif not area > 0.0:
+            # the checked code raises the message, or finds the ring outside
+            # the frame only
+            verts = _number(where, "coordinate", lambda v: _canonical(_pairs(v)), flat)
+            framed = False
+        rings.append(verts)
+        return Polygon2D._trusted(verts)
+
+    built = []
+    for k, inst in enumerate(instances):
+        try:
+            built.append(_instance_from_json(inst, polygon))
+        except DatasetError as e:
+            raise DatasetError(f"image {image_id!r}, instance {k}{e}") from e
+    make = SampleRecord._trusted if framed else SampleRecord
+    return make(image_id, width, height, pose, tuple(built), obj, pose_extra)
 
 
 def _pose_to_json(r: SampleRecord) -> dict:
@@ -401,6 +461,18 @@ def dataset_to_json(d: Dataset) -> dict:
 
 
 def dataset_from_json(obj) -> Dataset:
+    """The Dataset of a decoded JSON document, or the DatasetError of its
+    first error in document order.
+
+    One pass over the images builds every object, and the valid path runs
+    only cheap tests: each ring is converted once, each vertex tested
+    against its image's frame (or the +-2**500 box where the sides have no
+    float frame), and the ring wound by the sign of its area. Where such a
+    test fails, the checked code it stands for (_canonical, _number,
+    SampleRecord) raises the message. One _first_non_simple call checks the
+    simplicity of every ring read: at the end, or before any other error is
+    raised, so that an earlier non-simple ring wins.
+    """
     if not isinstance(obj, dict):
         raise DatasetError("dataset root must be an object")
     obj = dict(obj)
@@ -410,93 +482,15 @@ def dataset_from_json(obj) -> Dataset:
     metadata = obj.pop("metadata", {})
     if not isinstance(metadata, dict):
         raise DatasetError('"metadata" must be an object')
-    # the walk takes every document it proves valid; the ring-by-ring route
-    # loads any other, or reports its first error in document order
-    with contextlib.suppress(DatasetError, ValueError, OverflowError, TypeError):
-        return Dataset(records=_walk_records(images), metadata=metadata, extra=obj)
-    records = [_record_from_json(o, k) for k, o in enumerate(images)]
-    return Dataset(records=tuple(records), metadata=metadata, extra=obj)
-
-
-def _exact(value, kind):
-    """value, or a TypeError unless its type is exactly kind."""
-    if type(value) is not kind:
-        raise TypeError
-    return value
-
-
-def _walk_records(images) -> tuple:
-    """The records the ring-by-ring route builds from images, or an error
-    (DatasetError, ValueError, OverflowError or TypeError) where a value is
-    not exactly of its JSON type, an image is 2**53 px or more wide or high,
-    or a check fails.
-
-    One pass over the images builds every object trusted. Each ring is
-    converted once and must lie in its image's frame, by SampleRecord's
-    comparisons in its float bounds (so each coordinate is finite and far
-    inside +-2**500); _signed_area's sign winds it, and a zero area is
-    refused. Each instance goes through _check_instance. Then one pass checks
-    that every number read is exactly an int or a float, and one
-    _first_non_simple call the simplicity of every ring: a repeated vertex
-    fails it too, as two edges not adjacent start there or one of length 0
-    folds back.
-    """
-    lists, scalars, rings, records = [], [], [], []
-
-    def polygon(flat):
-        if len(_exact(flat, list)) % 2 or len(flat) < 6:
-            raise TypeError
-        lists.append(flat)
-        it = map(float, flat)
-        verts = tuple(zip(it, it))
-        for x, y in verts:
-            if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
-                raise TypeError
-        area = _signed_area(verts)
-        if area == 0.0:
-            raise TypeError
-        rings.append(verts if area > 0.0 else verts[::-1])
-        return Polygon2D._trusted(rings[-1])
-
-    for image in images:
-        image = dict(_exact(image, dict))
-        image_id, width, height = (image.pop(k, None) for k in ("id", "width", "height"))
-        if not (type(image_id) is str and 0 < _exact(width, int) < 2**53
-                and 0 < _exact(height, int) < 2**53):
-            raise TypeError
-        x_lo, x_hi, y_lo, y_hi = -float(width), 2.0 * width, -float(height), 2.0 * height
-        pose, pose_extra = image.pop("pose", None), {}
-        if pose is not None:
-            pose_extra = dict(_exact(pose, dict))
-            values = [pose_extra.pop(k, None) for k in ("tan_theta", "phi", "scale_s")]
-            scalars += values
-            pose = ImagePose(*map(float, values))
-        instances = []
-        for inst in _exact(image.pop("instances", []), list):
-            fp, roof, offset, h, score = map(_exact(inst, dict).get, _INSTANCE_KEYS)
-            if offset is not None:
-                if len(_exact(offset, list)) != 2:
-                    raise TypeError
-                lists.append(offset)
-                offset = Vec2(*map(float, offset))
-            fp = None if fp is None else polygon(fp)
-            roof = None if roof is None else polygon(roof)
-            if h is not None:
-                scalars.append(h)
-                h = float(h)
-            if score is not None:
-                scalars.append(score)
-                score = float(score)
-            _check_instance(fp, roof, offset, h, score)
-            instances.append(BuildingInstance._trusted(
-                fp, roof, offset, h, score, {} if _INSTANCE_KEY_SET.issuperset(inst)
-                else {k: v for k, v in inst.items() if k not in _INSTANCE_KEY_SET}))
-        records.append(SampleRecord._trusted(image_id, width, height, pose, tuple(instances),
-                                             image, pose_extra))
-    if not (_JSON_NUMBERS.issuperset(map(type, chain(chain.from_iterable(lists), scalars)))
-            and _first_non_simple(rings) is None):
-        raise TypeError
-    return tuple(records)
+    rings = []
+    where = functools.partial(_ring_location, images)
+    try:
+        records = tuple([_record_from_json(o, k, rings) for k, o in enumerate(images)])
+    except DatasetError:
+        _check_rings(rings, where)  # a non-simple earlier ring wins
+        raise
+    _check_rings(rings, where)
+    return Dataset(records=records, metadata=metadata, extra=obj)
 
 
 def _read_json(path):

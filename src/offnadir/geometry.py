@@ -51,13 +51,6 @@ class Vec2:
         if bool in (type(dx), type(dy)) or not (_finite(dx) and _finite(dy)):
             raise ValueError(f"Vec2 components must be finite numbers, got ({dx!r}, {dy!r})")
 
-    @classmethod
-    def _trusted(cls, dx: float, dy: float) -> "Vec2":
-        """Vector over components its caller has proven to be finite floats."""
-        v = object.__new__(cls)
-        vars(v).update(dx=dx, dy=dy)
-        return v
-
     def norm(self) -> float:
         return math.hypot(self.dx, self.dy)
 
@@ -466,13 +459,6 @@ def _canonical_ring(vertices) -> tuple:
     except OverflowError:  # an int too large for a float
         raise ValueError("polygon vertex coordinates must lie within +-2**500") from None
     return _canonical(verts)
-
-
-def _canonical_flat(values) -> tuple:
-    """_canonical_ring of the pairs of a flat coordinate list of even
-    length, each coordinate converted once, in list order."""
-    it = map(float, values)
-    return _canonical(tuple(zip(it, it)))
 
 
 def _canonical(verts: tuple) -> tuple:

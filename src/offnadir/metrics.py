@@ -58,11 +58,15 @@ class MatchResult:
         return len(self.unmatched_gts)
 
 
-def _footprints(instances, width: int, height: int):
-    """(footprint, width, height) of each instance, for rasterize_polygons."""
-    for inst in instances:
+def _footprints(instances, width: int, height: int, where: str | None = None):
+    """(footprint, width, height) of each instance, for rasterize_polygons.
+    An instance without a footprint is a ValueError, named "<where> instance
+    <k>" where where is given."""
+    for k, inst in enumerate(instances):
         if inst.footprint is None:
-            raise ValueError("matching needs a footprint on every instance")
+            if where is None:
+                raise ValueError("matching needs a footprint on every instance")
+            raise ValueError(f"{where} instance {k}: matching needs a footprint")
         yield inst.footprint, width, height
 
 
@@ -302,8 +306,9 @@ def evaluate(
                     f"image {image_id!r}: prediction grid {pred.width}x{pred.height} "
                     f"!= ground truth {gt.width}x{gt.height}"
                 )
-            yield from _footprints(pred.instances, gt.width, gt.height)
-            yield from _footprints(gt.instances, gt.width, gt.height)
+            where = f"image {image_id!r}"
+            yield from _footprints(pred.instances, gt.width, gt.height, f"{where}, prediction")
+            yield from _footprints(gt.instances, gt.width, gt.height, f"{where}, ground truth")
 
     # one stream over all images, consumed image by image
     masks = rasterize_polygons(footprints())

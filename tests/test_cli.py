@@ -603,10 +603,20 @@ def test_unreadable_json_input_exits_2_naming_the_file(tmp_path, capsys, command
          r"^error: sample 1: level H loss needs component 'l_h'$"),
         ([{"level": "N", "l_f": -1.0}], None,
          r"^error: sample 0: l_f must be finite and >= 0, got -1.0$"),
+        # no detection-network loss: the message names the keys a file can hold
+        ([{"level": "H", "l_f": 1.0, "l_h": 2.0}], None,
+         r"^error: sample 0: level H loss needs one of the components "
+         r"'l_rp', 'l_rc', 'l_mh', 'l_o'$"),
+        ([{"level": "OH", "l_f": 1.0, "l_h": 2.0, "l_ona": 0.1, "l_ova": 0.2}], None,
+         r"^error: sample 0: level OH loss needs one of the components "
+         r"'l_rp', 'l_rc', 'l_mh', 'l_o'$"),
+        ([{"level": "OH", "l_f": 1.0}], None,
+         r"^error: sample 0: level OH loss needs component 'l_h'$"),
     ],
     ids=["component-true", "component-string", "external-true", "weight-true", "weight-list",
          "weight-negative", "level-list", "level-missing", "weight-unknown", "not-an-array",
-         "component-unknown", "component-missing", "component-negative"],
+         "component-unknown", "component-missing", "component-negative", "external-missing-h",
+         "external-missing-oh", "height-before-external"],
 )
 def test_loss_cli_errors_name_the_sample_weight_or_file(
     tmp_path, capsys, components, weights, message
@@ -621,6 +631,22 @@ def test_loss_cli_errors_name_the_sample_weight_or_file(
     err = capsys.readouterr().err
     assert re.search(message, err), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("side", ["prediction", "ground truth"])
+def test_eval_names_the_image_side_and_instance_without_a_footprint(tmp_path, capsys, side):
+    footprint = {"footprint": [0, 0, 10, 0, 10, 10, 0, 10]}
+    roof_only = {"roof": [0, 0, 10, 0, 10, 10, 0, 10], "offset": [10, 10]}
+    bad = {"images": [{"id": "a", "width": 64, "height": 64,
+                       "instances": [footprint, roof_only]}]}
+    good = {"images": [{"id": "a", "width": 64, "height": 64, "instances": [footprint]}]}
+    pred, gt = (bad, good) if side == "prediction" else (good, bad)
+    (tmp_path / "pred.json").write_text(json.dumps(pred))
+    (tmp_path / "gt.json").write_text(json.dumps(gt))
+    assert run(["eval", "--pred", str(tmp_path / "pred.json"),
+                "--gt", str(tmp_path / "gt.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: image 'a', {side} instance 1: matching needs a footprint\n"
 
 
 def test_dash_report_path_writes_to_stdout(scene_path, capsys):

@@ -40,6 +40,7 @@ from offnadir.geometry import (
 from offnadir.synth import SynthConfig, degrade_dataset, generate_scenes
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import ring_by_ring  # noqa: E402  (tests/ring_by_ring.py)
 import scenes  # noqa: E402  (perfbench/scenes.py)
 
 SQUARE = Polygon2D(((10, 10), (20, 10), (20, 20), (10, 20)))
@@ -608,12 +609,24 @@ def _load_outcome(doc):
         return str(e)
 
 
-# The loader's two routes: the walk (dataset._walk_records), which takes a
-# document only when it proves it valid, checking the number types and the
-# simplicity of all its rings in one batch each; and the ring-by-ring route,
-# which loads any other document or reports its first error.
-def _refuse(images):
-    raise TypeError  # as the walk does for a document it does not take
+def _reference_outcome(doc):
+    """doc on the ring-by-ring route (tests/ring_by_ring.py), which checks
+    each ring fully as it builds it: a Dataset or a DatasetError's text."""
+    try:
+        return ring_by_ring.load(doc)
+    except DatasetError as e:
+        return str(e)
+
+
+@contextlib.contextmanager
+def _counting_ring_checks():
+    """The lengths of the ring lists the loader passes to _first_non_simple."""
+    checked = []
+    original = dataset_module._first_non_simple
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dataset_module, "_first_non_simple",
+                  lambda rings: checked.append(len(rings)) or original(rings))
+        yield checked
 
 
 # _first_non_simple's two routes, for rings of any size and count
@@ -651,14 +664,16 @@ def test_batched_simplicity_check_matches_per_polygon_loading(batch_pairs, monke
     preempted = 0
     for _ in range(400):
         doc = _parity_document(rng)
-        got = _load_outcome(doc)
-        # the ring-by-ring route alone, each ring fully checked on its own
+        # one ring check per document, whether it loads or not
+        with _counting_ring_checks() as checked:
+            got = _load_outcome(doc)
+        assert len(checked) == 1, doc
+        # the ring-by-ring route, each ring fully checked on its own
         rings = []
         with monkeypatch.context() as m:
-            m.setattr(dataset, "_walk_records", _refuse)
-            m.setattr(dataset, "_canonical_flat", reference)
-            want = _load_outcome(doc)
-        assert rings, "the loader no longer canonicalizes through _canonical_flat"
+            m.setattr(ring_by_ring, "_canonical_flat", reference)
+            want = _reference_outcome(doc)
+        assert rings, "the reference no longer canonicalizes through _canonical_flat"
         assert got == want, doc
         if isinstance(want, str):
             outcomes[want.split(": ", 1)[1].split(" (")[0].split(" by ")[0]] += 1
@@ -725,35 +740,34 @@ def test_loop_route_without_numpy_matches_the_kernel_route(broadcast_min, monkey
     assert found >= 100
 
 
-def test_loader_checks_the_rings_of_a_file_in_one_call(monkeypatch):
-    from offnadir import dataset, geometry
-
-    checked = []
-
-    def first_non_simple(rings):
-        checked.append(len(rings))
-        return geometry._first_non_simple(rings)
-
-    monkeypatch.setattr(dataset, "_first_non_simple", first_non_simple)
+def test_loader_checks_the_rings_of_a_file_in_one_call():
     square = [1, 1, 9, 1, 9, 9, 1, 9]
     bowtie = [1, 1, 9, 9, 9, 1, 1, 5]
     images = [{"id": f"img-{i}", "width": 32, "height": 32,
                "instances": [{"footprint": square}] * 10} for i in range(100)]
-    dataset_from_json({"images": images})
-    assert checked == [1000]  # the walk's one call
-    # a non-simple ring fails that call; the ring-by-ring route then checks
-    # each ring as it builds it, and stops at the first bad one
-    checked.clear()
+    with _counting_ring_checks() as checked:
+        dataset_from_json({"images": images})
+    assert checked == [1000]
+    # a non-simple ring fails that one call, which names it; the file is
+    # not read again
     images[1]["instances"] = [{"footprint": bowtie}]
-    with pytest.raises(DatasetError, match="^image 'img-1', instance 0: polygon is not simple"):
-        dataset_from_json({"images": images})
-    assert checked == [991] + [1] * 11
-    # it wins over any later error, which also makes the walk give up first
-    checked.clear()
+    with _counting_ring_checks() as checked:
+        with pytest.raises(DatasetError, match="^image 'img-1', instance 0: polygon is not simple"):
+            dataset_from_json({"images": images})
+    assert checked == [991]
+    # it wins over any later error: that error stops the pass, which then
+    # checks the 981 rings read so far in one call
     images[-1] = "not an object"
-    with pytest.raises(DatasetError, match="^image 'img-1', instance 0: polygon is not simple"):
-        dataset_from_json({"images": images})
-    assert checked == [1] * 11
+    with _counting_ring_checks() as checked:
+        with pytest.raises(DatasetError, match="^image 'img-1', instance 0: polygon is not simple"):
+            dataset_from_json({"images": images})
+    assert checked == [981]
+    # without a bad ring before it, the later error stands, after the same call
+    images[1]["instances"] = [{"footprint": square}]
+    with _counting_ring_checks() as checked:
+        with pytest.raises(DatasetError, match=r"^images\[99\] must be an object$"):
+            dataset_from_json({"images": images})
+    assert checked == [981]
 
 
 @st.composite
@@ -885,26 +899,23 @@ WORKLOAD_PATHS = {name: list(_paths(doc))[1:] for name, doc in WORKLOADS.items()
 
 def _on_both_routes(doc):
     """doc as JSON text decoded (by the C or the pure-Python decoder), then
-    loaded as the loader does, by the walk where it takes doc, and on the
-    ring-by-ring route alone: each a Dataset or a DatasetError's text."""
+    loaded by the loader and by the ring-by-ring reference: each a Dataset
+    or a DatasetError's text."""
     doc = json.loads(json.dumps(doc))
-    walked = _load_outcome(doc)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(dataset_module, "_walk_records", _refuse)
-        return walked, _load_outcome(doc)
+    return _load_outcome(doc), _reference_outcome(doc)
 
 
-def _assert_same(walked, ring_by_ring):
+def _assert_same(loaded, reference):
     # repr also tells -0.0 from 0.0 and an int from a float
-    assert walked == ring_by_ring
-    assert repr(walked) == repr(ring_by_ring)
+    assert loaded == reference
+    assert repr(loaded) == repr(reference)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_batched_route_loads_every_workload_document(name):
-    doc = json.loads(json.dumps(WORKLOADS[name]))
-    assert dataset_module._walk_records(doc["images"])  # raises where it would fall back
-    _assert_same(*_on_both_routes(doc))
+    loaded, reference = _on_both_routes(WORKLOADS[name])
+    assert isinstance(loaded, Dataset), loaded
+    _assert_same(loaded, reference)
 
 
 # load and re-save each file named, where importing numpy raises ImportError
@@ -919,9 +930,9 @@ for path in sys.argv[1:]:
 
 def test_small_ring_documents_load_and_save_the_same_bytes_without_numpy(tmp_path):
     # `city` and `tiles` rings have 4 to 6 vertices, which the loop checks
-    # when numpy is not loaded: loads on the walk, and on the ring-by-ring
-    # route (an image 2**53 px wide), import no numpy and give the bytes
-    # they give with numpy loaded
+    # when numpy is not loaded: loads with the frame test, and with the
+    # +-2**500 box and the checked SampleRecord (an image 2**53 px wide),
+    # import no numpy and give the bytes they give with numpy loaded
     docs = [doc for name, doc in sorted(WORKLOADS.items()) if not name.startswith("stars")]
     wide = copy.deepcopy(WORKLOADS["city gt"])
     wide["images"][0]["width"] = 2**53
@@ -945,15 +956,15 @@ def test_batched_route_refuses_a_ring_whose_half_area_rounds_to_zero():
     doc = {"images": [{"id": "a", "width": 8, "height": 8,
                        "instances": [{"footprint": [0, 0, tiny, 0, 0, tiny]}]}]}
     assert _first_non_simple((((0.0, 0.0), (tiny, 0.0), (0.0, tiny)),)) is None
-    walked, ring_by_ring = _on_both_routes(doc)
-    assert walked == ring_by_ring == "image 'a', instance 0: polygon has zero area"
+    loaded, reference = _on_both_routes(doc)
+    assert loaded == reference == "image 'a', instance 0: polygon has zero area"
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 17])
 def test_batched_route_refuses_every_repeated_vertex(n):
-    # the walk runs no set() test: the area or the simplicity check, on
-    # either of its routes, refuses every ring with a repeated vertex, and
-    # the ring-by-ring route names it
+    # the loader's valid path runs no set() test: the area or the
+    # simplicity check, on either of its routes, refuses every ring with a
+    # repeated vertex, and _canonical names it as the reference does
     ring = [(round(100 + 50 * math.cos(2 * math.pi * k / n), 3),
              round(100 + 50 * math.sin(2 * math.pi * k / n), 3)) for k in range(n)]
     for route in SIMPLICITY_ROUTES:
@@ -963,10 +974,9 @@ def test_batched_route_refuses_every_repeated_vertex(n):
                 pts[j] = pts[i]
                 images = [{"id": "a", "width": 200, "height": 200,
                            "instances": [{"footprint": _flat(pts)}]}]
-                with pytest.raises(TypeError):
-                    dataset_module._walk_records(images)
-                with pytest.raises(DatasetError, match=": polygon has repeated vertices$"):
-                    dataset_from_json({"images": images})
+                loaded, reference = _on_both_routes({"images": images})
+                _assert_same(loaded, reference)
+                assert loaded == "image 'a', instance 0: polygon has repeated vertices"
 
 
 def test_batched_route_checks_the_frame_with_its_bounds_included():
@@ -975,14 +985,13 @@ def test_batched_route_checks_the_frame_with_its_bounds_included():
                        "instances": [{"footprint": [-10, -8, 20, -8, 20, 16, -10, 16]}]}]}
     for route in SIMPLICITY_ROUTES:
         with _simplicity_route(route):
-            assert dataset_module._walk_records(doc["images"])
-            _assert_same(*_on_both_routes(doc))
+            loaded, reference = _on_both_routes(doc)
+            assert isinstance(loaded, Dataset), loaded
+            _assert_same(loaded, reference)
             for k, beyond in enumerate((-10.000000000000002, -8.000000000000002,
                                         20.000000000000004, 16.000000000000004)):
                 bad = copy.deepcopy(doc)
                 bad["images"][0]["instances"][0]["footprint"][(0, 1, 2, 5)[k]] = beyond
-                with pytest.raises(TypeError):
-                    dataset_module._walk_records(bad["images"])
                 _assert_same(*_on_both_routes(bad))
                 assert "outside the allowed frame" in _load_outcome(bad)
     # from 2**53 on, SampleRecord compares with int bounds, which a float
@@ -1040,14 +1049,9 @@ EDGES_LOADED = {"score -0.0", "score 1", "offset [1e308, -1e308]", "roof off by 
 @pytest.mark.parametrize("edge", sorted(EDGES))
 def test_batched_route_agrees_at_the_instance_edges(edge):
     doc = json.loads(json.dumps(_edge_document(edge)))
-    walked, ring_by_ring = _on_both_routes(doc)
-    _assert_same(walked, ring_by_ring)
-    assert isinstance(walked, Dataset) == (edge in EDGES_LOADED), walked
-    if edge in EDGES_LOADED:
-        assert dataset_module._walk_records(doc["images"])  # taken, not fallen back from
-    else:
-        with pytest.raises((DatasetError, ValueError, OverflowError, TypeError)):
-            dataset_module._walk_records(doc["images"])
+    loaded, reference = _on_both_routes(doc)
+    _assert_same(loaded, reference)
+    assert isinstance(loaded, Dataset) == (edge in EDGES_LOADED), loaded
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

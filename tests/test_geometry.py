@@ -530,43 +530,67 @@ def test_simplicity_route_table(sizes, numpy_loaded, route, monkeypatch):
     assert ("kernel" if kernel else "loop") == route
 
 
-def _refuse(images):
-    raise TypeError  # as the loader's walk does for a document it does not take
-
-
-def test_huge_ring_checked_in_bounded_memory(monkeypatch):
-    import tracemalloc
-
-    from offnadir import dataset
-    from offnadir.dataset import DatasetError, dataset_from_json
-
+def _huge_rings():
+    """A 20 000-vertex circle, and the circle with two vertices swapped."""
     n = 20_000
     circle = [(1000.0 + 900.0 * math.cos(2 * math.pi * k / n),
                1000.0 + 900.0 * math.sin(2 * math.pi * k / n)) for k in range(n)]
     crossed = list(circle)
     crossed[100], crossed[10_100] = crossed[10_100], crossed[100]
-    message = "polygon is not simple (self-intersection)"
-    for walked in (True, False):  # the loader's walk, and its ring-by-ring route alone
-        if not walked:
-            monkeypatch.setattr(dataset, "_walk_records", _refuse)
+    return circle, crossed
+
+
+def _ring_document(verts):
+    return {"images": [{"id": "a", "width": 2000, "height": 2000,
+                        "instances": [{"footprint": [c for p in verts for c in p]}]}]}
+
+
+HUGE_RING_MESSAGE = "polygon is not simple (self-intersection)"
+
+
+def test_huge_ring_checked_in_bounded_memory():
+    import tracemalloc
+
+    import ring_by_ring
+
+    from offnadir.dataset import DatasetError, dataset_from_json
+
+    circle, crossed = _huge_rings()
+    # the loader, and the ring-by-ring reference
+    for name, load in (("loader", dataset_from_json), ("reference", ring_by_ring.load)):
         for verts, simple in ((circle, True), (crossed, False)):
-            doc = {"images": [{"id": "a", "width": 2000, "height": 2000,
-                               "instances": [{"footprint": [c for p in verts for c in p]}]}]}
+            doc = _ring_document(verts)
             tracemalloc.start()
             try:
                 if simple:
-                    assert len(Polygon2D(tuple(verts))) == n
-                    assert dataset_from_json(doc).records[0].instances[0].footprint.vertices == (
+                    assert len(Polygon2D(tuple(verts))) == len(verts)
+                    assert load(doc).records[0].instances[0].footprint.vertices == (
                         Polygon2D(tuple(verts)).vertices)
                 else:
-                    with pytest.raises(ValueError, match=re.escape(message)):
+                    with pytest.raises(ValueError, match=re.escape(HUGE_RING_MESSAGE)):
                         Polygon2D(tuple(verts))
-                    with pytest.raises(DatasetError, match=re.escape(f"instance 0: {message}")):
-                        dataset_from_json(doc)
+                    with pytest.raises(DatasetError,
+                                       match=re.escape(f"instance 0: {HUGE_RING_MESSAGE}")):
+                        load(doc)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 16 * 2**20, (walked, simple)
+            assert peak < 16 * 2**20, (name, simple)
+
+
+def test_huge_crossed_ring_refused_after_one_ring_check(monkeypatch):
+    # the document is read once: one simplicity check finds the crossing,
+    # and none runs again to name it
+    from offnadir import dataset
+    from offnadir.dataset import DatasetError, dataset_from_json
+
+    checked = []
+    first_non_simple = geometry._first_non_simple
+    monkeypatch.setattr(dataset, "_first_non_simple",
+                        lambda rings: checked.append(len(rings)) or first_non_simple(rings))
+    with pytest.raises(DatasetError, match=re.escape(f"image 'a', instance 0: {HUGE_RING_MESSAGE}")):
+        dataset_from_json(_ring_document(_huge_rings()[1]))
+    assert checked == [1]
 
 
 # ---------------------------------------------------------------------------

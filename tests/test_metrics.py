@@ -301,9 +301,12 @@ def test_evaluate_reports_the_first_bad_image_in_id_order():
         evaluate(pred, gt)
     # a missing footprint in an earlier image comes before a bad grid
     pred = Dataset(records=(record("d"), record("b", 40), record("c"), record("a", footprint=False)))
-    with pytest.raises(ValueError, match="^matching needs a footprint on every instance$"):
+    # named by image, side and instance
+    with pytest.raises(ValueError, match=r"^image 'a', prediction instance 1: "
+                                         r"matching needs a footprint$"):
         evaluate(pred, gt)
-    with pytest.raises(ValueError, match="^matching needs a footprint on every instance$"):
+    with pytest.raises(ValueError, match=r"^image 'a', ground truth instance 1: "
+                                         r"matching needs a footprint$"):
         evaluate(gt, pred)
 
 
