@@ -602,18 +602,11 @@ def _parity_document(rng):
     return {"images": images}
 
 
-def _load_outcome(doc):
+def _load_outcome(doc, load=dataset_from_json):
+    """load(doc), a Dataset, or its DatasetError's text. The reference load
+    is ring_by_ring.load, which checks each ring fully as it builds it."""
     try:
-        return dataset_from_json(doc)
-    except DatasetError as e:
-        return str(e)
-
-
-def _reference_outcome(doc):
-    """doc on the ring-by-ring route (tests/ring_by_ring.py), which checks
-    each ring fully as it builds it: a Dataset or a DatasetError's text."""
-    try:
-        return ring_by_ring.load(doc)
+        return load(doc)
     except DatasetError as e:
         return str(e)
 
@@ -672,7 +665,7 @@ def test_batched_simplicity_check_matches_per_polygon_loading(batch_pairs, monke
         rings = []
         with monkeypatch.context() as m:
             m.setattr(ring_by_ring, "_canonical_flat", reference)
-            want = _reference_outcome(doc)
+            want = _load_outcome(doc, ring_by_ring.load)
         assert rings, "the reference no longer canonicalizes through _canonical_flat"
         assert got == want, doc
         if isinstance(want, str):
@@ -902,7 +895,7 @@ def _on_both_routes(doc):
     loaded by the loader and by the ring-by-ring reference: each a Dataset
     or a DatasetError's text."""
     doc = json.loads(json.dumps(doc))
-    return _load_outcome(doc), _reference_outcome(doc)
+    return _load_outcome(doc), _load_outcome(doc, ring_by_ring.load)
 
 
 def _assert_same(loaded, reference):
