@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from . import __version__
 from .dataset import (
@@ -28,7 +28,8 @@ from .dataset import (
 )
 from .geometry import Polygon2D, _canonical_ring, offset_from_pose
 from .losses import (
-    _COMPONENTS, ExternalLossInputs, LevelComponents, LossWeights, _total_loss, level_loss,
+    _EXTERNAL, LEVEL_COMPONENTS, ExternalLossInputs, LevelComponents, LossWeights, _total_loss,
+    level_loss,
 )
 from .metrics import evaluate
 from .pseudobox import DEFAULT_EXPAND_RATIO, pseudo_bbox_level_h, pseudo_bbox_level_n
@@ -39,11 +40,6 @@ from .synth import SynthesisError, config_from_json, degrade_dataset, generate_s
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-# component keys of a loss sample; the detection-network ones are read first
-_EXTERNAL_NAMES = tuple(f.name for f in fields(ExternalLossInputs))
-_EXTERNAL_KEYS = frozenset(_EXTERNAL_NAMES)
-_LEVEL_KEYS = frozenset(_COMPONENTS)
 
 
 class UsageError(Exception):
@@ -263,23 +259,15 @@ def _cmd_loss(args) -> int:
         if name not in ("N", "H", "OH"):
             raise DatasetError(f'sample {k}: level must be "N", "H" or "OH", got {name!r}')
         level = SupervisionLevel[name]
-        ext = {key: _number(f"sample {k}, {key}", "component", float, entry.pop(key))
-               for key in list(entry) if key in _EXTERNAL_KEYS}
+        # every key OH reads; the detection losses first, as they are checked first
         comps = {key: _number(f"sample {k}, {key}", "component", float, entry.pop(key))
-                 for key in list(entry) if key in _LEVEL_KEYS}
+                 for key in sorted(entry, key=lambda key: key not in _EXTERNAL)
+                 if key in LEVEL_COMPONENTS[SupervisionLevel.OH]}
         if entry:
             raise DatasetError(f"sample {k}: unknown component keys {sorted(entry)}")
         try:
-            components = LevelComponents(
-                external=ExternalLossInputs(**ext) if ext else None, **comps
-            )
-            if level >= SupervisionLevel.H and not ext:
-                # level_loss would name its 'external' field, which no file
-                # holds, after the components it checks first
-                components.require(level, "l_f", "l_h")
-                raise ValueError(f"level {name} loss needs one of the components "
-                                 f"{', '.join(map(repr, _EXTERNAL_NAMES))}")
-            value = level_loss(level, components, weights)
+            external = ExternalLossInputs(**{key: comps.pop(key, None) for key in _EXTERNAL})
+            value = level_loss(level, LevelComponents(external=external, **comps), weights)
         except ValueError as e:
             raise DatasetError(f"sample {k}: {e}") from e
         rows.append((k, level.name, value))

@@ -209,12 +209,14 @@ class SampleRecord:
 def grade_sample(record: SampleRecord) -> SupervisionLevel:
     """Supervision level of a sample: the weakest level among its instances.
 
-    A record with no instances grades OH (vacuously fully annotated).
+    A record with no instances grades OH (vacuously fully annotated); an
+    instance without a footprint is a DatasetError that names it.
     """
-    return min(
-        (grade_instance(inst) for inst in record.instances),
-        default=SupervisionLevel.OH,
-    )
+    try:
+        return min((grade_instance(inst) for inst in record.instances), default=SupervisionLevel.OH)
+    except DatasetError as e:
+        k = next(k for k, inst in enumerate(record.instances) if inst.footprint is None)
+        raise DatasetError(f"image {record.image_id!r}, instance {k}: {e}") from e
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .dataset import SupervisionLevel
 from .raster import BitMask
@@ -54,15 +54,25 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class ExternalLossInputs:
-    """Loss scalars produced by the detection network."""
+    """Loss scalars produced by the detection network; None is not given."""
 
-    l_rp: float = 0.0  # region proposal
-    l_rc: float = 0.0  # box classification/regression
-    l_mh: float = 0.0  # roof mask head
-    l_o: float = 0.0  # offset head
+    l_rp: float | None = 0.0  # region proposal
+    l_rc: float | None = 0.0  # box classification/regression
+    l_mh: float | None = 0.0  # roof mask head
+    l_o: float | None = 0.0  # offset head
 
     def __post_init__(self):
         _check_nonnegative(self, self.__dataclass_fields__)
+
+
+# the loss components each supervision level reads, in the order they are
+# checked; l_rp, l_rc, l_mh and l_o are read in LevelComponents.external
+LEVEL_COMPONENTS = {
+    SupervisionLevel.N: ("l_f",),
+    SupervisionLevel.H: ("l_f", "l_h", "l_rp"),
+    SupervisionLevel.OH: ("l_f", "l_h", "l_rp", "l_ona", "l_ova", "l_rc", "l_mh", "l_o"),
+}
+_EXTERNAL = tuple(ExternalLossInputs.__dataclass_fields__)
 
 
 def smooth_l1(pred, gt, beta: float = 1.0) -> float:
@@ -151,16 +161,15 @@ class LevelComponents:
     external: ExternalLossInputs | None = None
 
     def __post_init__(self):
-        _check_nonnegative(self, _COMPONENTS)
+        _check_nonnegative(self, [name for name in self.__dataclass_fields__ if name != "external"])
 
     def require(self, level: SupervisionLevel, *names: str):
-        for name in names:
-            if getattr(self, name) is None:
+        """Raise ValueError naming the first of names, or else of what level
+        reads, that is None or has no external to hold it."""
+        for name in names or LEVEL_COMPONENTS[level]:
+            holder = self.external if name in _EXTERNAL else self
+            if holder is None or getattr(holder, name) is None:
                 raise ValueError(f"level {level.name} loss needs component {name!r}")
-
-
-# LevelComponents' scalar fields, in declaration order
-_COMPONENTS = tuple(f.name for f in fields(LevelComponents) if f.name != "external")
 
 
 def level_loss(
@@ -170,21 +179,19 @@ def level_loss(
 
     N uses the footprint loss alone; H adds the region-proposal loss
     (trained against pseudo bboxes) and the weighted height loss; OH adds
-    the remaining detection losses and both angle losses. Finite components
-    whose weighted sum overflows are a ValueError.
+    the remaining detection losses and both angle losses. A component of
+    LEVEL_COMPONENTS[level] not given, or a sum that overflows, is a ValueError.
     """
-    c = components
-    c.require(level, "l_f")
+    c, x = components, components.external
+    c.require(level)
     total = c.l_f
     if level >= SupervisionLevel.H:
-        c.require(level, "l_h", "external")
-        total += w.alpha1 * c.external.l_rp + w.alpha2 * c.l_h
+        total += w.alpha1 * x.l_rp + w.alpha2 * c.l_h
     if level >= SupervisionLevel.OH:
-        c.require(level, "l_ona", "l_ova")
         total += (
-            w.alpha3 * c.external.l_rc
-            + w.alpha4 * c.external.l_mh
-            + w.alpha5 * c.external.l_o
+            w.alpha3 * x.l_rc
+            + w.alpha4 * x.l_mh
+            + w.alpha5 * x.l_o
             + w.alpha6 * c.l_ona
             + w.alpha7 * c.l_ova
         )

@@ -603,13 +603,11 @@ def test_unreadable_json_input_exits_2_naming_the_file(tmp_path, capsys, command
          r"^error: sample 1: level H loss needs component 'l_h'$"),
         ([{"level": "N", "l_f": -1.0}], None,
          r"^error: sample 0: l_f must be finite and >= 0, got -1.0$"),
-        # no detection-network loss: the message names the keys a file can hold
+        # no detection-network loss: H's own, the region proposal, is named
         ([{"level": "H", "l_f": 1.0, "l_h": 2.0}], None,
-         r"^error: sample 0: level H loss needs one of the components "
-         r"'l_rp', 'l_rc', 'l_mh', 'l_o'$"),
+         r"^error: sample 0: level H loss needs component 'l_rp'$"),
         ([{"level": "OH", "l_f": 1.0, "l_h": 2.0, "l_ona": 0.1, "l_ova": 0.2}], None,
-         r"^error: sample 0: level OH loss needs one of the components "
-         r"'l_rp', 'l_rc', 'l_mh', 'l_o'$"),
+         r"^error: sample 0: level OH loss needs component 'l_rp'$"),
         ([{"level": "OH", "l_f": 1.0}], None,
          r"^error: sample 0: level OH loss needs component 'l_h'$"),
     ],
@@ -647,6 +645,26 @@ def test_eval_names_the_image_side_and_instance_without_a_footprint(tmp_path, ca
                 "--gt", str(tmp_path / "gt.json")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: image 'a', {side} instance 1: matching needs a footprint\n"
+
+
+# the second instance has a roof and an offset but no footprint
+NO_FOOTPRINT = {"images": [{"id": "a", "width": 64, "height": 64, "instances": [
+    {"footprint": [0, 0, 10, 0, 10, 10, 0, 10], "height": 3.0},
+    {"roof": [20, 20, 30, 20, 30, 30, 20, 30], "offset": [1, 1], "height": 2.0},
+]}]}
+
+
+@pytest.mark.parametrize("command", ["grade", "degrade"])
+def test_grade_and_degrade_name_the_image_and_instance_without_a_footprint(tmp_path, capsys,
+                                                                           command):
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(NO_FOOTPRINT))
+    argv = {"grade": ["grade", "--in", str(path), "--report", str(out)],
+            "degrade": ["degrade", "--in", str(path), "--out", str(out),
+                        "--frac-oh", "0.5", "--frac-h", "0.2"]}[command]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: image 'a', instance 1: instance missing footprint\n")
+    assert not out.exists()
 
 
 def test_dash_report_path_writes_to_stdout(scene_path, capsys):

@@ -17,6 +17,7 @@ import offnadir
 from offnadir.cli import run
 from offnadir.dataset import save_dataset
 from offnadir.synth import SynthConfig, generate_scenes
+from test_cli import NO_FOOTPRINT
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(offnadir.__file__)))
 
@@ -45,7 +46,8 @@ COMMANDS = {
 
 LOSS_COMPONENTS = [
     {"level": "N", "l_f": 0.5},
-    {"level": "OH", "l_f": 0.3, "l_h": 0.05, "l_ona": 0.01, "l_ova": 0.02, "l_rp": 0.1},
+    {"level": "OH", "l_f": 0.3, "l_h": 0.05, "l_ona": 0.01, "l_ova": 0.02, "l_rp": 0.1,
+     "l_rc": 0.2, "l_mh": 0.15, "l_o": 0.05},
 ]
 
 
@@ -93,3 +95,15 @@ def test_command_runs_without_numpy_and_writes_the_same_bytes(tmp_path, monkeypa
     assert code == 0
     assert _files(cold) == _files(warm)
     assert len(_files(cold)) > 2 or name in ("help", "version")
+
+
+@pytest.mark.parametrize("command", ["grade", "degrade"])
+def test_a_missing_footprint_is_located_without_numpy(tmp_path, command):
+    (tmp_path / "in.json").write_text(json.dumps(NO_FOOTPRINT))
+    argv = {"grade": ["grade", "--in", "in.json"],
+            "degrade": ["degrade", "--in", "in.json", "--out", "out.json",
+                        "--frac-oh", "0.5", "--frac-h", "0.2"]}[command]
+    proc = subprocess.run([sys.executable, "-c", COLD, *argv], cwd=tmp_path, env=_environment(),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: image 'a', instance 1: instance missing footprint\n")

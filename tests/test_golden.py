@@ -51,14 +51,16 @@ WORKLOADS = {
 
 LOSS_COMPONENTS = [
     {"level": "N", "l_f": 0.5, "l_rp": 0.25, "l_rc": 0.125},
-    {"level": "H", "l_f": 0.75, "l_h": 0.1, "l_mh": 0.2},
-    {"level": "OH", "l_f": 0.3, "l_h": 0.05, "l_ona": 0.01, "l_ova": 0.02, "l_o": 0.4},
+    {"level": "H", "l_f": 0.75, "l_h": 0.1, "l_rp": 0.375, "l_mh": 0.2},
+    {"level": "OH", "l_f": 0.3, "l_h": 0.05, "l_ona": 0.01, "l_ova": 0.02, "l_rp": 0.15,
+     "l_rc": 0.0625, "l_mh": 0.5, "l_o": 0.4},
 ]
 
 # the city, tiles and stars rows were re-pinned when synth and degrade moved
 # from numpy.random to random.Random, whose streams Python keeps across
-# versions; the loss row predates that, and the streaming JSON writer left
-# every byte unchanged
+# versions, and the streaming JSON writer left every byte unchanged; the loss
+# row was re-pinned when each sample had to give every component its level
+# reads (the N sample's l_rp and l_rc stay, unread)
 GOLDEN = {
     "city": {
         "degraded.json":
@@ -158,9 +160,9 @@ GOLDEN = {
     },
     "loss": {
         "loss.json":
-            "1107afbac9a11b0f6db6cd79257c03175f902b1b63efb081793b27ef77c322a6",
+            "3cbbe61591b72bdb510ff169b85f4c735b954ebed09bd9dca2ae16cb6fe0b079",
         "loss.stdout":
-            "862d8ee1cf4352857321098ad7a26b8538d6694f28e4210242b11bc3b394661c",
+            "2f7a87a22219a959a438007853a03892f6ed2332891832d22fac621179b3e3c8",
     },
 }
 

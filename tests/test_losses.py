@@ -1,10 +1,14 @@
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from offnadir.cli import run
 from offnadir.dataset import SupervisionLevel
 from offnadir.losses import (
+    LEVEL_COMPONENTS,
     ExternalLossInputs,
     LevelComponents,
     LossWeights,
@@ -163,6 +167,62 @@ def test_level_loss_missing_components():
             LevelComponents(l_f=0.5, l_h=0.1, l_ona=0.2, external=ExternalLossInputs()),
             w,
         )
+
+
+def test_level_components_table_order():
+    assert LEVEL_COMPONENTS == {
+        SupervisionLevel.N: ("l_f",),
+        SupervisionLevel.H: ("l_f", "l_h", "l_rp"),
+        SupervisionLevel.OH: ("l_f", "l_h", "l_rp", "l_ona", "l_ova", "l_rc", "l_mh", "l_o"),
+    }
+
+
+def _cli_loss(tmp_path, capsys, sample):
+    comp, report = tmp_path / "components.json", tmp_path / "loss.json"
+    comp.write_text(json.dumps([sample]))
+    code = run(["loss", "--components", str(comp), "--report", str(report)])
+    err = capsys.readouterr().err
+    return json.loads(report.read_text())["samples"][0]["loss"] if code == 0 else (code, err)
+
+
+def test_every_level_and_subset_of_components_in_the_library_and_the_cli(tmp_path, capsys):
+    # every term nonzero, so one read or dropped by mistake moves the value off full
+    names = LEVEL_COMPONENTS[SupervisionLevel.OH]
+    values = {name: 2.0 ** -i for i, name in enumerate(names)}
+    external = ExternalLossInputs.__dataclass_fields__
+    for level in SupervisionLevel:
+        reads = LEVEL_COMPONENTS[level]
+        full = level_loss(level, LevelComponents(
+            external=ExternalLossInputs(**{n: values[n] for n in external}),
+            **{n: values[n] for n in names if n not in external}))
+        for size in range(len(names) + 1):
+            for subset in itertools.combinations(names, size):
+                given = {n: values[n] for n in subset}
+                components = LevelComponents(
+                    external=ExternalLossInputs(**{n: given.get(n) for n in external}),
+                    **{n: v for n, v in given.items() if n not in external})
+                cli = _cli_loss(tmp_path, capsys, {"level": level.name, **given})
+                missing = [n for n in reads if n not in given]
+                if not missing:  # what the level does not read is ignored
+                    assert level_loss(level, components) == cli == full, (level, subset)
+                    continue
+                message = f"level {level.name} loss needs component {missing[0]!r}"
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    level_loss(level, components)
+                assert cli == (2, f"error: sample 0: {message}\n"), (level, subset)
+
+
+def test_require_counts_a_missing_external_or_none_as_not_given():
+    c = LevelComponents(l_f=0.5, l_h=0.1)
+    with pytest.raises(ValueError, match=r"^level H loss needs component 'l_rp'$"):
+        c.require(SupervisionLevel.H)
+    c.require(SupervisionLevel.H, "l_f", "l_h")
+    c = LevelComponents(l_f=0.5, l_h=0.1, external=ExternalLossInputs(l_rp=None))
+    with pytest.raises(ValueError, match=r"^level H loss needs component 'l_rp'$"):
+        level_loss(SupervisionLevel.H, c)
+    # a field left at its 0.0 default is given
+    c = LevelComponents(l_f=0.5, l_h=0.1, external=ExternalLossInputs())
+    assert level_loss(SupervisionLevel.H, c) == pytest.approx(3.7, abs=1e-12)
 
 
 def test_losses_that_overflow_to_infinity_raise():

@@ -243,3 +243,15 @@ def test_an_output_open_could_not_write_keeps_its_bytes(tmp_path, monkeypatch):
     with pytest.raises(PermissionError, match=re.escape(f": '{path}'")):
         _write_json([1], path)
     assert path.read_text() == "old\n" and [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_a_temporary_name_already_taken_is_retried_and_left_alone(tmp_path, monkeypatch):
+    taken = tmp_path / ".out.json.00000000.tmp"
+    taken.write_bytes(b"another writer's bytes")
+    draws = iter([b"\x00" * 4, b"\x00\x00\x00\x01"])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    _write_json({"k": [1.5]}, tmp_path / "out.json")
+    assert next(draws, None) is None  # both names were drawn
+    assert (tmp_path / "out.json").read_bytes() == _expected({"k": [1.5]})
+    assert taken.read_bytes() == b"another writer's bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "out.json"]
