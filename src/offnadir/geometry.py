@@ -328,15 +328,52 @@ def _first_crossing(x, y, qx, qy, lox, hix, loy, hiy):
     """First (r, i * n + j) at which edges i and j of ring r touch, over
     pairs that share no vertex, or None; arguments are (m, n) planes.
 
-    Edges whose closed bboxes are disjoint cannot touch, so only the pairs
-    whose bboxes overlap are tested. A single ring's mask is built in
-    blocks of rows of i, in order, of at most about _BATCH_PAIRS pairs;
-    several rings take one mask, which the caller bounds.
-    """
+    Only pairs whose closed bboxes overlap can touch and are tested, in
+    slices from _run_candidates for rings of _RUN_MIN_VERTICES or more in
+    calls of _RUN_MIN_PAIRS or more edge pairs, else from _box_candidates.
+    No index of a slice or a later one is below its floor, so the scan stops
+    once the floor passes the smallest index hit."""
     import numpy as np
 
     m, n = x.shape
     edges = np.stack((x, y, qx, qy, qx - x, qy - y, lox, hix, loy, hiy)).reshape(10, m * n)
+    runs = n >= _RUN_MIN_VERTICES and m * n * n >= _RUN_MIN_PAIRS
+    best = m * n * n  # above every index
+    for floor, ki, kj in (_run_candidates if runs else _box_candidates)(lox, hix, loy, hiy):
+        if floor > best:
+            break
+        px, py, qix, qiy, exi, eyi = np.take(edges[:6], ki, axis=1)
+        sx, sy, tx, ty, exj, eyj = np.take(edges[:6], kj, axis=1)
+        # _segments_intersect's d1..d4
+        d1 = exj * (py - sy) - eyj * (px - sx)
+        d2 = exj * (qiy - sy) - eyj * (qix - sx)
+        d3 = exi * (sy - py) - eyi * (sx - px)
+        d4 = exi * (ty - py) - eyi * (tx - px)
+        # each edge's endpoints lie strictly on both sides of the other's line
+        sides, ends = np.sign(d1) * np.sign(d2), np.sign(d3) * np.sign(d4)
+        bad = (sides < 0.0) & (ends < 0.0)
+        if not (sides * ends).all():
+            # some d is 0: P[i] / Q[i] lies on edge j, P[j] / Q[j] on edge i
+            lxi, hxi, lyi, hyi = np.take(edges[6:], ki, axis=1)
+            lxj, hxj, lyj, hyj = np.take(edges[6:], kj, axis=1)
+            bad |= (d1 == 0.0) & (lxj <= px) & (px <= hxj) & (lyj <= py) & (py <= hyj)
+            bad |= (d2 == 0.0) & (lxj <= qix) & (qix <= hxj) & (lyj <= qiy) & (qiy <= hyj)
+            bad |= (d3 == 0.0) & (lxi <= sx) & (sx <= hxi) & (lyi <= sy) & (sy <= hyi)
+            bad |= (d4 == 0.0) & (lxi <= tx) & (tx <= hxi) & (lyi <= ty) & (ty <= hyi)
+        hits = np.flatnonzero(bad)
+        if hits.size:  # ki * n + kj % n is r * n * n + i * n + j
+            best = min(best, int((ki[hits] * n + kj[hits] % n).min()))
+    return divmod(best, n * n) if best < m * n * n else None
+
+
+def _box_candidates(lox, hix, loy, hiy):
+    """(floor, ki, kj): the flat indices r * n + i and r * n + j of the pairs
+    i + 1 < j, but (0, n - 1), whose bboxes overlap, in row-major order, at
+    most _BATCH_CANDIDATES a slice. A single ring's mask is built in blocks
+    of rows of at most about _BATCH_PAIRS pairs; several rings take one."""
+    import numpy as np
+
+    m, n = lox.shape
     columns = np.arange(n)
     i0 = 0
     while i0 < n - 1:
@@ -350,34 +387,70 @@ def _first_crossing(x, y, qx, qy, lox, hix, loy, hiy):
         mask &= lox[:, None, cols] <= hix[:, rows, None]
         mask &= loy[:, rows, None] <= hiy[:, None, cols]
         mask &= loy[:, None, cols] <= hiy[:, rows, None]
-        # row-major, so in order of (r, i, j); with one ring or one block,
-        # row + i0 is the flat index r * n + i of edge i
+        # with one ring or one block, row + i0 is the flat index r * n + i
         candidates = np.flatnonzero(mask)
         for s in range(0, candidates.size, _BATCH_CANDIDATES):
             row, col = np.divmod(candidates[s:s + _BATCH_CANDIDATES], n - i0 - 1)
             ki = row + i0
-            i = ki % n
-            j = col + (i0 + 1)
-            px, py, qix, qiy, exi, eyi, lxi, hxi, lyi, hyi = edges[:, ki]
-            sx, sy, tx, ty, exj, eyj, lxj, hxj, lyj, hyj = edges[:, ki + (j - i)]
-            # _segments_intersect's d1..d4
-            d1 = exj * (py - sy) - eyj * (px - sx)
-            d2 = exj * (qiy - sy) - eyj * (qix - sx)
-            d3 = exi * (sy - py) - eyi * (sx - px)
-            d4 = exi * (ty - py) - eyi * (tx - px)
-            # each edge's endpoints lie strictly on both sides of the other's line
-            bad = (np.sign(d1) * np.sign(d2) < 0.0) & (np.sign(d3) * np.sign(d4) < 0.0)
-            # P[i] / Q[i] lies on edge j, P[j] / Q[j] on edge i
-            bad |= (d1 == 0.0) & (lxj <= px) & (px <= hxj) & (lyj <= py) & (py <= hyj)
-            bad |= (d2 == 0.0) & (lxj <= qix) & (qix <= hxj) & (lyj <= qiy) & (qiy <= hyj)
-            bad |= (d3 == 0.0) & (lxi <= sx) & (sx <= hxi) & (lyi <= sy) & (sy <= hyi)
-            bad |= (d4 == 0.0) & (lxi <= tx) & (tx <= hxi) & (lyi <= ty) & (ty <= hyi)
-            hits = np.flatnonzero(bad)
-            if hits.size:
-                h = hits[0]
-                return int(ki[h] // n), int(i[h] * n + j[h])
+            kj = ki + (col + (i0 + 1) - ki % n)
+            yield int(ki[0] * n + kj[0] % n), ki, kj
         i0 = i1
-    return None
+
+
+# Measured per _first_violation call on stars and circles against
+# _box_candidates (CHANGES.md): runs of 4 edges cost 20-40% more at 16-24
+# vertices and below 2**15 pairs (one ring of 32-96 vertices: 5-45%), and
+# 4-65% less from 32 vertices and 2**15 pairs on; 2, 3, 5, 6 and 8 were no faster.
+_RUN_MIN_VERTICES = 32
+_RUN_MIN_PAIRS = 2**15
+_RUN_EDGES = 4
+
+
+def _run_candidates(lox, hix, loy, hiy):
+    """_box_candidates' pairs, pruned by runs of _RUN_EDGES edges: a run's
+    box holds its edges' bboxes, so edge pairs of runs with disjoint boxes
+    are not tested. A single ring's run pairs (a, b), a <= b, go in blocks of
+    rows of at most about _BATCH_PAIRS, their edges' box tests in slices of
+    _BATCH_PAIRS / 4 (four planes); a slice's floor is its first (r, a)."""
+    import numpy as np
+
+    m, n = lox.shape
+    size, runs = _RUN_EDGES, -(-n // _RUN_EDGES)
+    # lo corners and negated hi corners as (plane, edge of run, run), with
+    # empty boxes after edge n - 1: boxes overlap iff lo <= hi in each plane
+    lo = np.full((4, m, runs * size), np.inf)
+    lo[:, :, :n] = (lox, loy, -hix, -hiy)
+    lo = np.ascontiguousarray(lo.reshape(4, m * runs, size).transpose(0, 2, 1))
+    hi = -lo[[2, 3, 0, 1]]
+    run_lo = lo.min(axis=1).reshape(4, m, runs)
+    run_hi = -run_lo[[2, 3, 0, 1]]
+    first = (np.arange(m)[:, None] * n + np.arange(0, n, size)).ravel()  # r * n + a * size
+    steps, columns = np.arange(size), np.arange(runs)
+    below = 2 - (steps - steps[:, None])[:, :, None]  # j - i >= 2 iff gap * size >= below
+    step = max(1, _BATCH_PAIRS // (4 * size * size))
+    a0 = 0
+    while a0 < runs:
+        # run rows a0..a1 - 1 against columns b >= a0
+        a1 = runs if m > 1 else a0 + max(1, _BATCH_PAIRS // (runs - a0))
+        over = run_lo[:, :, a0:a1, None] <= run_hi[:, :, None, a0:]
+        mask = columns[a0:a1, None] <= columns[a0:]
+        kept = np.flatnonzero(mask & over[0] & over[1] & over[2] & over[3])
+        for h in range(0, kept.size, step):
+            # flat run indices r * runs + a and r * runs + b; every (a, a) is kept
+            ka, kb = np.divmod(kept[h:h + step], runs - a0)
+            ka += a0
+            kb += ka - ka % runs + a0
+            # (s, t, run pair) for edges i = a * size + s and j = b * size + t
+            over = np.take(lo, ka, axis=2)[:, :, None] <= np.take(hi, kb, axis=2)[:, None]
+            gap = kb - ka
+            ok = (gap * size >= below) & over[0] & over[1] & over[2] & over[3]
+            ok[0, (n - 1) % size, gap == runs - 1] = False  # the closing pair
+            candidates, floor = np.flatnonzero(ok), int(first[ka[0]] * n)
+            for c in range(0, candidates.size, _BATCH_CANDIDATES):
+                st, k = np.divmod(candidates[c:c + _BATCH_CANDIDATES], ka.size)
+                si, tj = np.divmod(st, size)
+                yield floor, first[ka[k]] + si, first[kb[k]] + tj
+        a0 = a1
 
 
 def _simplicity_message(n: int, first: int) -> str:

@@ -146,8 +146,15 @@ def height_loss(h_pred, h_gt) -> float:
 
 
 def loft_loss(x: ExternalLossInputs, w: LossWeights = LossWeights()) -> float:
-    """Weighted sum of the four detection-network losses."""
-    return x.l_rp + w.beta1 * x.l_rc + w.beta2 * x.l_mh + w.beta3 * x.l_o
+    """Weighted sum of the four detection-network losses. A field that is
+    None, or a sum that overflows, is a ValueError."""
+    for name in _EXTERNAL:
+        if getattr(x, name) is None:
+            raise ValueError(f"loft loss needs component {name!r}")
+    total = x.l_rp + w.beta1 * x.l_rc + w.beta2 * x.l_mh + w.beta3 * x.l_o
+    if not math.isfinite(total):  # finite components, a sum that overflowed
+        raise ValueError(f"loft loss is not finite: {total}")
+    return total
 
 
 @dataclass(frozen=True)

@@ -338,6 +338,11 @@ def test_simplicity_broadcast_matches_loop(monkeypatch):
 def _oracle_check_simple(verts):
     """_check_simple as it was before its fold-back tests moved into one
     pass over the vertices: every pair (i, j) in row-major order."""
+    return next(_oracle_violations(verts), None)
+
+
+def _oracle_violations(verts):
+    """Row-major index i * n + j of every violating pair, in that order."""
     n = len(verts)
     for i in range(n):
         a1, a2 = verts[i], verts[(i + 1) % n]
@@ -354,8 +359,7 @@ def _oracle_check_simple(verts):
                        and max(b1[1], b2[1]) >= min(a1[1], a2[1])
                        and geometry._segments_intersect(a1, a2, b1, b2))
             if bad:
-                return i * n + j
-    return None
+                yield i * n + j
 
 
 def test_check_simple_matches_the_pairwise_oracle_and_the_kernel():
@@ -413,7 +417,7 @@ def test_huge_coordinates_rejected_on_both_check_paths(ring, monkeypatch):
     assert polygon_area(Polygon2D(big_square)) == 2.0**1002
 
 
-_KERNEL_BOUNDS = ("_BATCH_PAIRS", "_BATCH_EDGES", "_BATCH_CANDIDATES")
+_KERNEL_BOUNDS = ("_BATCH_PAIRS", "_BATCH_EDGES", "_BATCH_CANDIDATES", "_RUN_MIN_PAIRS")
 
 
 def test_simplicity_kernel_matches_loop_under_tiny_bounds(monkeypatch):
@@ -421,6 +425,120 @@ def test_simplicity_kernel_matches_loop_under_tiny_bounds(monkeypatch):
     for name in _KERNEL_BOUNDS:
         monkeypatch.setattr(geometry, name, 1)
     test_simplicity_broadcast_matches_loop(monkeypatch)
+    _check_run_path(monkeypatch)
+
+
+def _run_boxes(verts, a, b):
+    """Union bboxes (lox, hix, loy, hiy) of runs a and b of verts' edges."""
+    size, n = geometry._RUN_EDGES, len(verts)
+    out = []
+    for r in (a, b):
+        ends = [verts[k % n] for k in range(r * size, min(n, r * size + size) + 1)]
+        xs, ys = [x for x, _ in ends], [y for _, y in ends]
+        out.append((min(xs), max(xs), min(ys), max(ys)))
+    return out
+
+
+def _spike(k):
+    """Ring whose tip (10, 5) touches its edge x = 10, every edge cut into k:
+    the tip's runs and the edge's meet only on the line x = 10."""
+    corners = [(10, 0), (10, 10), (0, 10), (0, 6), (10, 5), (0, 4), (0, 0)]
+    return [(x1 + (x2 - x1) * q / k, y1 + (y2 - y1) * q / k)
+            for (x1, y1), (x2, y2) in zip(corners, corners[1:] + corners[:1]) for q in range(k)]
+
+
+def _run_path_rings(rng):
+    """Rings of _RUN_MIN_VERTICES to 130 vertices, few of them a multiple of
+    the run length: stars, zigzags, swaps, folds at the closing pair and at
+    a run boundary, and spikes that touch between runs meeting on a line."""
+    size = geometry._RUN_EDGES
+    rings = [_spike(k) for k in (5, 8, 13, 18)]
+    for n in (geometry._RUN_MIN_VERTICES, 33, 35, 47, 64, 66, 97, 127, 130):
+        for pts in (_star(rng, n, 64.0), _zigzag(n, rng.choice((1, 3, 8)))):
+            rings.append(pts)
+            for _ in range(3):
+                swapped = list(pts)
+                a, b = rng.sample(range(n), 2)
+                swapped[a], swapped[b] = swapped[b], swapped[a]
+                rings.append(swapped)
+            rings += [_mutate(rng, pts, 10)[:n] for _ in range(2)]
+            # P[1] at the middle of edge n - 1: edges 0 and n - 1 fold back
+            closing = list(pts)
+            closing[1] = ((pts[-1][0] + pts[0][0]) / 2, (pts[-1][1] + pts[0][1]) / 2)
+            # P[i + 2] at the middle of edge i, the last of its run
+            i = size - 1 + size * rng.randrange((n - 3) // size)
+            boundary = list(pts)
+            boundary[i + 2] = ((pts[i][0] + pts[i + 1][0]) / 2, (pts[i][1] + pts[i + 1][1]) / 2)
+            rings += [closing, boundary]
+    return [tuple((float(x), float(y)) for x, y in pts) for pts in rings]
+
+
+def _check_run_path(monkeypatch):
+    """_first_violation on the run path, which every call takes here,
+    against _check_simple and the oracle, ring by ring and in batches, and
+    what the cases cover."""
+    monkeypatch.setattr(geometry, "_RUN_MIN_PAIRS", 0)
+    taken, run_candidates = [], geometry._run_candidates
+    monkeypatch.setattr(geometry, "_run_candidates",
+                        lambda *planes: taken.append(1) or run_candidates(*planes))
+    rng = random.Random(3030)
+    size = geometry._RUN_EDGES
+    covered = Counter()
+    rings = _run_path_rings(rng)
+    wants = []
+    for verts in rings:
+        n = len(verts)
+        assert n >= geometry._RUN_MIN_VERTICES
+        want = _oracle_check_simple(verts)
+        assert geometry._check_simple(verts) == want, verts
+        got = geometry._first_violation(np.array([verts]))
+        assert got == (None if want is None else (0, want)), verts
+        if want is not None:
+            assert geometry._simplicity_message(n, got[1]) == geometry._simplicity_message(n, want)
+        wants.append(want)
+        if want is None:
+            covered["simple"] += 1
+            continue
+        i, j = divmod(want, n)
+        covered[geometry._simplicity_message(n, want)] += 1
+        covered["closing fold"] += want == n - 1
+        covered["run boundary fold"] += j == i + 1 and i % size == size - 1
+        (lxa, hxa, lya, hya), (lxb, hxb, lyb, hyb) = _run_boxes(verts, i // size, j // size)
+        covered["runs meet on a line"] += j > i + 1 and (
+            min(hxa, hxb) == max(lxa, lxb) or min(hya, hyb) == max(lya, lyb))
+        # a hit in an earlier run pair than the first hit's
+        covered["later run pair first"] += any(
+            (k // n // size, k % n // size) < (i // size, j // size)
+            for k in _oracle_violations(verts))
+    # batches of equal vertex count, several of them bad
+    groups = {}
+    for verts, want in zip(rings, wants):
+        groups.setdefault(len(verts), []).append((verts, want))
+    for members in groups.values():
+        for _ in range(4 if len(members) > 1 else 0):
+            batch = rng.sample(members, rng.randint(2, min(8, len(members))))
+            bad = [(r, want) for r, (_, want) in enumerate(batch) if want is not None]
+            got = geometry._first_violation(np.array([verts for verts, _ in batch]))
+            assert got == (bad[0] if bad else None)
+            covered["batches with several bad rings"] += len(bad) > 1
+    assert len(taken) == len(rings) + sum(4 for members in groups.values() if len(members) > 1)
+    return covered
+
+
+def test_run_path_matches_the_loop_and_the_oracle(monkeypatch):
+    covered = _check_run_path(monkeypatch)
+    for case in ("simple", "polygon is not simple (edge fold-back)",
+                 "polygon is not simple (self-intersection)", "closing fold",
+                 "run boundary fold", "runs meet on a line", "later run pair first",
+                 "batches with several bad rings"):
+        assert covered[case] >= 3, (case, covered)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
+def test_run_path_matches_the_loop_at_any_run_length(size, monkeypatch):
+    # the verdicts do not depend on the run length, padded runs included
+    monkeypatch.setattr(geometry, "_RUN_EDGES", size)
+    _check_run_path(monkeypatch)
 
 
 def _zigzag(n, h):
@@ -515,19 +633,39 @@ def _regular(n):
     ((6, 6), True, "kernel"),
     ((6, 6), False, "loop"),
     ((6, 16), False, "kernel"),
+    # in the kernel, a call of 2**15 or more edge pairs over rings of 32 or
+    # more vertices takes runs: one ring from 182 vertices on
+    ((64,), True, "kernel"),
+    ((181,), True, "kernel"),
+    ((182,), True, "runs"),
+    ((182,), False, "runs"),
+    ((31,) * 64, True, "kernel"),
+    ((32,) * 31, False, "kernel"),
+    ((32,) * 32, False, "runs"),
+    ((64,) * 7, True, "kernel"),
+    ((64,) * 8, True, "runs"),
+    ((6, 6) + (64,) * 8, False, "kernel, runs"),
+    ((64,) * 33, True, "kernel, runs"),
 ])
 def test_simplicity_route_table(sizes, numpy_loaded, route, monkeypatch):
     # _first_non_simple alone picks the route, for batches and for Polygon2D
-    # (one ring); a new route or threshold has to change this table on purpose
-    kernel = []
+    # (one ring), and _first_crossing the kernel's candidates ("kernel": the
+    # mask, "runs": runs of edges); a new route or threshold has to change
+    # this table on purpose
+    kernel, masks, runs = [], [], []
     original = geometry._first_violation
     monkeypatch.setattr(geometry, "_first_violation", lambda p: kernel.append(p) or original(p))
+    for name, seen in (("_box_candidates", masks), ("_run_candidates", runs)):
+        candidates = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda *planes, f=candidates, seen=seen: seen.append(1) or f(*planes))
     monkeypatch.setattr(geometry, "_numpy_loaded", lambda: numpy_loaded)
     rings = tuple(_regular(n) for n in sizes)
     assert geometry._first_non_simple(rings) is None
     if len(rings) == 1:
         assert Polygon2D(rings[0]).vertices == rings[0]
-    assert ("kernel" if kernel else "loop") == route
+    taken = ", ".join(name for name, seen in (("kernel", masks), ("runs", runs)) if seen)
+    assert (taken if kernel else "loop") == route
 
 
 def _huge_rings():

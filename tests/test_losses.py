@@ -124,6 +124,23 @@ def test_loft_loss():
     assert loft_loss(x, w0) == pytest.approx(0.1, abs=1e-15)
 
 
+@pytest.mark.parametrize("name", ["l_rp", "l_rc", "l_mh", "l_o"])
+def test_loft_loss_names_a_component_not_given(name):
+    # the first field that is None, in field order, as level_loss names one
+    with pytest.raises(ValueError, match=rf"^loft loss needs component '{name}'$"):
+        loft_loss(ExternalLossInputs(**{name: None}))
+    with pytest.raises(ValueError, match=rf"^loft loss needs component '{name}'$"):
+        loft_loss(ExternalLossInputs(**{name: None, "l_o": None}))
+
+
+def test_loft_loss_refuses_a_sum_that_overflows():
+    x = ExternalLossInputs(l_rp=1e308, l_rc=1e308)
+    with pytest.raises(ValueError, match=r"^loft loss is not finite: inf$"):
+        loft_loss(x)
+    # the same components, weighted down, sum to a finite loss
+    assert loft_loss(x, LossWeights(beta1=0.0)) == 1e308
+
+
 def test_default_weights():
     w = LossWeights()
     assert (w.alpha1, w.alpha2, w.alpha3, w.alpha4, w.alpha5, w.alpha6, w.alpha7) == (

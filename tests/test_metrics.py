@@ -526,8 +526,17 @@ def test_eval_passes_hold_their_bounds(monkeypatch):
         calls.append(p.shape)
         return first_violation(p)
 
+    runs, run_candidates = [], geometry._run_candidates
+
+    def spy_runs(lox, hix, loy, hiy):
+        runs.append((*lox.shape, []))
+        for floor, ki, kj in run_candidates(lox, hix, loy, hiy):
+            runs[-1][2].append(ki.size)
+            yield floor, ki, kj
+
     monkeypatch.setattr(raster, "_pass", spy_pass)
     monkeypatch.setattr(geometry, "_first_violation", spy_kernel)
+    monkeypatch.setattr(geometry, "_run_candidates", spy_runs)
     shapes = [
         _ring(4, 40, 40, [20]), _ring(6, 40, 40, [30, 15]), _ring(64, 80, 80, [60, 30]),
         _ring(400, 300, 300, [200]), [100, 100, 700, 100, 700, 700, 100, 700], _comb(8, 60),
@@ -544,6 +553,7 @@ def test_eval_passes_hold_their_bounds(monkeypatch):
     for polygons, pixels, terms in passes:
         assert polygons == 1 or (pixels <= raster._CHUNK_PIXELS and terms <= raster._CHUNK_TERMS)
     for m, n, _ in calls:
+        # on either path; runs of edges build their masks over fewer pairs
         assert m == 1 or (m * n * n <= geometry._BATCH_PAIRS and m * n <= geometry._BATCH_EDGES)
     # both kinds of pass occur: shared ones, and one over a bound
     assert max(polygons for polygons, _, _ in passes) > 1
@@ -551,3 +561,12 @@ def test_eval_passes_hold_their_bounds(monkeypatch):
     assert max(pixels for _, pixels, _ in passes) > raster._CHUNK_PIXELS
     assert max(m for m, _, _ in calls) > 1
     assert max(n * n for _, n, _ in calls) > geometry._BATCH_PAIRS
+    # the calls of at least _RUN_MIN_PAIRS pairs over rings of _RUN_MIN_VERTICES
+    # or more take runs, a batch and the 400-vertex ring among them, and their
+    # float tests take at most _BATCH_CANDIDATES pairs at a time
+    long = [(m, n) for m, n, _ in calls
+            if n >= geometry._RUN_MIN_VERTICES and m * n * n >= geometry._RUN_MIN_PAIRS]
+    assert [(m, n) for m, n, _ in runs] == long
+    assert (1, 400) in long and max(m for m, _ in long) > 1
+    sizes = [size for _, _, slices in runs for size in slices]
+    assert sizes and max(sizes) <= geometry._BATCH_CANDIDATES
